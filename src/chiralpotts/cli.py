@@ -35,7 +35,13 @@ from .combi import (
     identity_check,
     uqp_check,
 )
-from .drinfeld import drinfeld_projection, lambda_counts, root_transforms, solve_roots
+from .drinfeld import (
+    MIN_PRECISION,
+    drinfeld_projection,
+    lambda_counts,
+    root_transforms,
+    solve_roots,
+)
 from .errors import SizeGuardError
 from .formfactor import (
     couplings,
@@ -49,6 +55,13 @@ from .formfactor import (
 ORACLE_TOL = 1e-8
 ROUTE_TOL = 1e-10
 FLOAT_BITS = 53
+
+# Argument ranges; a value outside them exits 2 like any other usage error.
+STATES = click.IntRange(min=2)
+WIDTH = click.IntRange(min=1)
+# The exact overlap table has (N-1)(L-1) rows, so the exact suites need L >= 2.
+SUITE_WIDTH = click.IntRange(min=2)
+PRECISION = click.IntRange(min=MIN_PRECISION)
 
 
 @dataclass(frozen=True)
@@ -170,8 +183,8 @@ def main():
 
 
 @main.command()
-@click.option("--N", "n", type=int, required=True)
-@click.option("--L", "width", type=int, required=True)
+@click.option("--N", "n", type=STATES, required=True)
+@click.option("--L", "width", type=SUITE_WIDTH, required=True)
 @click.option("--out", type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def identity(n, width, out, fmt):
@@ -194,9 +207,9 @@ def identity(n, width, out, fmt):
 
 
 @main.command()
-@click.option("--N", "n", type=int, required=True)
-@click.option("--L", "width", type=int, required=True)
-@click.option("--samples", type=int, default=40, show_default=True,
+@click.option("--N", "n", type=STATES, required=True)
+@click.option("--L", "width", type=SUITE_WIDTH, required=True)
+@click.option("--samples", type=click.IntRange(min=1), default=40, show_default=True,
               help="Seeded sample size for the alternating-sum identity "
                    "when exhaustive enumeration is too large.")
 @click.option("--out", type=click.Path(dir_okay=False))
@@ -254,12 +267,12 @@ def appendix(n, width, samples, out, fmt):
 
 
 @main.command()
-@click.option("--N", "n", type=int, required=True)
-@click.option("--L", "width", type=int, required=True)
+@click.option("--N", "n", type=STATES, required=True)
+@click.option("--L", "width", type=WIDTH, required=True)
 @click.option("--Q", "charge", type=int, required=True)
 @click.option("--kp", type=str, default=None,
               help="Modulus; include to report the transformed root data.")
-@click.option("--prec", type=int, default=192, show_default=True)
+@click.option("--prec", type=PRECISION, default=192, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def drinfeld(n, width, charge, kp, prec, out, fmt):
@@ -298,12 +311,12 @@ def drinfeld(n, width, charge, kp, prec, out, fmt):
 
 
 @main.command()
-@click.option("--N", "n", type=int, required=True)
-@click.option("--L", "width", type=int, required=True)
+@click.option("--N", "n", type=STATES, required=True)
+@click.option("--L", "width", type=WIDTH, required=True)
 @click.option("--Q", "charge", type=int, required=True)
 @click.option("--P", "charge_p", type=int, required=True)
 @click.option("--kp", type=str, required=True)
-@click.option("--prec", type=int, default=192, show_default=True)
+@click.option("--prec", type=PRECISION, default=192, show_default=True)
 @click.option("--method", type=click.Choice(["sum", "det", "closed", "all"]),
               default="all", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False))
@@ -363,11 +376,11 @@ def formfactor(n, width, charge, charge_p, kp, prec, method, out, fmt):
 
 
 @main.command()
-@click.option("--N", "n", type=int, required=True)
-@click.option("--L", "width", type=int, required=True)
+@click.option("--N", "n", type=STATES, required=True)
+@click.option("--L", "width", type=WIDTH, required=True)
 @click.option("--r", "offset", type=int, required=True)
 @click.option("--kp", type=str, required=True)
-@click.option("--prec", type=int, default=192, show_default=True)
+@click.option("--prec", type=PRECISION, default=192, show_default=True)
 @click.option("--method", type=click.Choice(["sum", "det", "closed", "all"]),
               default="closed", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False))
@@ -429,13 +442,13 @@ def _order_payload(result: dict, prec: int) -> dict:
 
 
 @main.command()
-@click.option("--N", "n", type=int, required=True)
-@click.option("--L", "width", type=int, required=True)
+@click.option("--N", "n", type=STATES, required=True)
+@click.option("--L", "width", type=WIDTH, required=True)
 @click.option("--kp", type=str, required=True)
 @click.option("--Q", "charge", type=int, default=None,
               help="Restrict to one bra sector (requires --P).")
 @click.option("--P", "charge_p", type=int, default=None)
-@click.option("--prec", type=int, default=192, show_default=True)
+@click.option("--prec", type=PRECISION, default=192, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def oracle(n, width, kp, charge, charge_p, prec, out, fmt):
@@ -503,8 +516,8 @@ def oracle(n, width, kp, charge, charge_p, prec, out, fmt):
 
 
 @main.command()
-@click.option("--N", "n", type=int, required=True)
-@click.option("--L", "width", type=int, required=True)
+@click.option("--N", "n", type=STATES, required=True)
+@click.option("--L", "width", type=WIDTH, required=True)
 @click.option("--kp", type=str, required=True)
 @click.option("--r", "offset", type=int, required=True)
 @click.option("--ell", type=int, default=64, show_default=True)
@@ -575,12 +588,12 @@ def correlate(n, width, kp, offset, ell, out, fmt):
 
 
 @main.command()
-@click.option("--N", "n", type=int, required=True)
+@click.option("--N", "n", type=STATES, required=True)
 @click.option("--r", "offset", type=int, required=True)
 @click.option("--kp", type=str, required=True)
-@click.option("--L", "widths", type=int, multiple=True, required=True,
+@click.option("--L", "widths", type=WIDTH, multiple=True, required=True,
               help="Repeat for each width, ascending.")
-@click.option("--prec", type=int, default=192, show_default=True)
+@click.option("--prec", type=PRECISION, default=192, show_default=True)
 @click.option("--method", type=click.Choice(["sum", "det", "closed", "all"]),
               default="det", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False))

@@ -1,23 +1,51 @@
 """Charge-sector counting polynomials and their certified real roots.
 
-Each sector Q carries an integer polynomial whose coefficients count the
-configurations of total nN + Q; its roots drive every form factor.  The
-roots are computed numerically but certified exactly: big-integer sign
-evaluation at rational probe points proves there are deg-many simple
-real negative roots, so realness is never assumed.
+Each sector Q carries an integer polynomial lambda_Q(z) whose coefficient
+n counts the site configurations of total nN + Q; its m roots drive every
+form factor.  `solve_roots` finds them in three steps.
+
+1. Bracket.  lambda_Q(-x) is scanned for sign changes on a log-x grid in
+   double precision through the O(N) projection identity
+
+       lambda_Q(z) = (N t^Q)^-1 sum_n omega^(-nQ) ((1 - z)/(1 - t omega^n))^L,
+       t^N = z,
+
+   which `drinfeld_projection` proves exactly.  A grid sign is accepted
+   only where the value clears its rounding bound; elsewhere it is taken
+   exactly from the integer coefficients.
+2. Polish.  Each bracket is bisected in double precision, then
+   Newton-refined on the integer coefficients at precision + 40 bits.
+3. Certify.  Exact integer sign evaluation at m+1 dyadic probes (a
+   Cauchy bound, the midpoints between consecutive roots, and 0) proves
+   there are m simple real negative roots, one per probe interval; each
+   root's relative residual is then checked exactly against
+   2^(-precision/2).
+
+Realness is never assumed.  A scan without exactly m brackets, or a
+failed certificate, goes to an exact Sturm classification of the integer
+polynomial, which names the failure: a repeated root, or fewer than m
+real negative roots.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 import mpmath
 
 from .combi import lambda_block
 from .cyclo import CycNum, CycPoly
-from .errors import DomainError, NonRealRootError, RootClusterTooTightError
+from .errors import (
+    CountingInvariantError,
+    DomainError,
+    NonRealRootError,
+    RootClusterTooTightError,
+)
 
 
 @dataclass(frozen=True)
@@ -46,16 +74,20 @@ class DrinfeldPoly:
 
 
 def lambda_counts(N: int, L: int, Q: int) -> DrinfeldPoly:
-    """Counting polynomial of sector Q, with its structural facts asserted:
+    """Counting polynomial of sector Q, with its structural facts checked:
     the degree matches floor(((N-1)L - Q)/N), the top coefficient is
     nonzero, and the coefficients total N^(L-1)."""
     if N < 2 or L < 1 or not 0 <= Q < N:
         raise ValueError("need N >= 2, L >= 1, 0 <= Q < N")
     lam = lambda_block(N, L, Q)
     poly = DrinfeldPoly(N=N, L=L, Q=Q, lam=lam)
-    assert poly.m == ((N - 1) * L - Q) // N
-    assert lam[-1] != 0
-    assert sum(lam) == N ** (L - 1)
+    where = "sector (N=%d, L=%d, Q=%d)" % (N, L, Q)
+    if poly.m != ((N - 1) * L - Q) // N:
+        raise CountingInvariantError("%s has degree %d" % (where, poly.m))
+    if lam[-1] == 0:
+        raise CountingInvariantError("%s has a zero top coefficient" % where)
+    if sum(lam) != N ** (L - 1):
+        raise CountingInvariantError("%s counts do not total N^(L-1)" % where)
     return poly
 
 
@@ -63,7 +95,7 @@ def drinfeld_projection(N: int, L: int, Q: int) -> tuple[int, ...]:
     """Expand  t^(-Q) sum_n omega^(-nQ) [(1 - t^N)/(1 - t omega^n)]^L
     exactly, check that only powers t^(mN) survive after the shift, and
     return the coefficient list in w = t^N.  The result must be exactly
-    N times the counting polynomial, which is asserted."""
+    N times the counting polynomial, which is checked."""
     order = 2 * N
     one = CycNum.integer(1, order)
     total = CycPoly(order, ())
@@ -76,110 +108,285 @@ def drinfeld_projection(N: int, L: int, Q: int) -> tuple[int, ...]:
         total = total + (base**L) * CycNum.omega_pow(-n * Q, order)
     for k, c in enumerate(total.coeffs):
         if not c.is_zero() and (k - Q) % N != 0:
-            raise AssertionError("projection kept power %d outside class %d" % (k, Q))
+            raise CountingInvariantError("projection kept power %d outside class %d" % (k, Q))
     if any(not total.coeff(k).is_zero() for k in range(Q)):
-        raise AssertionError("projection not divisible by t^Q")
+        raise CountingInvariantError("projection not divisible by t^Q")
     out = tuple(
         total.coeff(Q + j * N).as_int() for j in range((total.degree - Q) // N + 1)
     )
     counts = lambda_counts(N, L, Q)
-    assert len(out) == len(counts.lam)
-    assert all(c == N * v for c, v in zip(out, counts.lam))
+    if out != tuple(N * v for v in counts.lam):
+        raise CountingInvariantError(
+            "projection of sector (N=%d, L=%d, Q=%d) is not N times its counts" % (N, L, Q)
+        )
     return out
 
 
 # ---------------------------------------------------------------------------
-# root solving with exact certification
+# root solving: bracket, polish, certify
+
+# Smallest supported root precision in bits.
+MIN_PRECISION = 128
+# Sign scans refine their log-x grid this many times before giving up.
+_SCAN_REFINEMENTS = 3
+_EPS = 2.0**-52
 
 
-def _horner_sign(coeffs: tuple[int, ...], point: Fraction) -> int:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * point + c
-    return (acc > 0) - (acc < 0)
+def _scaled_value(coeffs: tuple[int, ...], a: int, k: int) -> int:
+    """2^(k m) p(a / 2^k) as an exact integer, for the ascending integer
+    coefficients of p of degree m (Horner on the homogenised form)."""
+    acc = 0
+    for i, c in enumerate(reversed(coeffs)):
+        acc = acc * a + (c << (k * i))
+    return acc
 
 
-def _mid_fraction(a: mpmath.mpf, b: mpmath.mpf, dps: int) -> Fraction:
-    with mpmath.workdps(dps + 5):
-        mid = (a + b) / 2
-        return Fraction(mpmath.nstr(mid, dps, strip_zeros=False))
+def _dyadic(x) -> tuple[int, int]:
+    """(a, k) with x = a / 2^k exactly and k >= 0, for a float or mpf."""
+    if isinstance(x, float):
+        a, den = x.as_integer_ratio()
+        return a, den.bit_length() - 1
+    man, exp = x.man_exp
+    if x < 0:
+        man = -man
+    return (man << exp, 0) if exp >= 0 else (man, -exp)
 
 
-@functools.lru_cache(maxsize=None)
+def _exact_sign(coeffs: tuple[int, ...], a: int, k: int) -> int:
+    value = _scaled_value(coeffs, a, k)
+    return (value > 0) - (value < 0)
+
+
+def _identity_sign(N: int, L: int, Q: int, x: float) -> int:
+    """Sign of lambda_Q(-x) from the projection identity in double
+    precision, or 0 where the value does not clear its rounding bound.
+
+    With t = x^(1/N) e^(i pi/N), the identity gives N |t|^Q lambda_Q(-x)
+    as the real part of sum_n exp(l_n), l_n = L log((1+x)/(1 - t omega^n))
+    - i Q pi (2n+1)/N.  The terms are scaled by the largest modulus, and
+    each carries a rounding error of a few ulps of |l_n| + L in its
+    exponent."""
+    radius = x ** (1.0 / N)
+    log1x = math.log1p(x)
+    logs = []
+    for n in range(N):
+        angle = math.pi * (2 * n + 1) / N
+        one_minus_t = complex(1.0 - radius * math.cos(angle), -radius * math.sin(angle))
+        logs.append(L * (log1x - cmath.log(one_minus_t)) - 1j * Q * angle)
+    top = max(l.real for l in logs)
+    value = 0.0
+    bound = 0.0
+    for l in logs:
+        term = cmath.exp(l - top)
+        value += term.real
+        bound += abs(term) * (abs(l) + abs(top) + (N + 4) * (L + 2))
+    if abs(value) <= 8 * _EPS * bound:
+        return 0
+    return 1 if value > 0 else -1
+
+
+def _sign_at(poly: DrinfeldPoly, x: float) -> int:
+    """Sign of lambda_Q(-x): from the identity where it is resolved,
+    otherwise exactly from the coefficients."""
+    sign = _identity_sign(poly.N, poly.L, poly.Q, x)
+    return sign if sign else _exact_sign(poly.lam, *_dyadic(-x))
+
+
+def _brackets(poly: DrinfeldPoly) -> list[tuple[float, float, int]] | None:
+    """Intervals (x_lo, x_hi, sign at x_lo) of x = -z holding one sign
+    change each, ascending in x, or None unless exactly m are found.
+
+    The scan runs between c_0/(2 c_1) and 2 c_(m-1)/c_m: when all m roots
+    are real and negative, the sum of the root moduli is c_(m-1)/c_m and
+    the sum of their inverses c_1/c_0, which bounds every root."""
+    lam, m = poly.lam, poly.m
+    if any(c <= 0 for c in lam):
+        return None
+    lo, hi = lam[0] / lam[1] / 2, 2 * lam[-2] / lam[-1]
+    span = math.log(hi / lo)
+    points = math.ceil(span * (m + 1) / 2) + 2
+    for _ in range(_SCAN_REFINEMENTS):
+        found = []
+        last, last_sign = lo, _sign_at(poly, lo)
+        for j in range(1, points + 1):
+            x = lo * math.exp(span * j / points)
+            sign = _sign_at(poly, x)
+            if sign == 0:  # x is a root exactly; the next point brackets it
+                continue
+            if sign != last_sign:
+                found.append((last, x, last_sign))
+            last, last_sign = x, sign
+        if len(found) == m:
+            return found
+        if len(found) > m:
+            return None
+        points *= 4
+    return None
+
+
+def _bisect(poly: DrinfeldPoly, x_lo: float, x_hi: float, sign_lo: int) -> float:
+    """Geometric bisection of a bracket in double precision, stopping
+    where the identity can no longer resolve the sign."""
+    for _ in range(64):
+        mid = math.sqrt(x_lo * x_hi)
+        if not x_lo < mid < x_hi:
+            break
+        sign = _identity_sign(poly.N, poly.L, poly.Q, mid)
+        if sign == 0:
+            return mid
+        if sign == sign_lo:
+            x_lo = mid
+        else:
+            x_hi = mid
+    return math.sqrt(x_lo * x_hi)
+
+
+def _newton(coeffs: tuple[int, ...], z0: float, precision: int) -> mpmath.mpf:
+    """Newton iteration from z0 on a fixed-point grid of precision + 40
+    significant bits at the magnitude of z0, until the step falls below
+    2^-(precision + 20) relative.  Value and slope are exact integers, so
+    the iteration has no rounding floor however much the polynomial
+    cancels near the root."""
+    bits = precision + 40
+    a, k = _dyadic(z0)
+    grid = max(bits - (abs(a).bit_length() - k), 0)
+    a = a << (grid - k) if grid >= k else a >> (k - grid)
+    slope = tuple(n * c for n, c in enumerate(coeffs))[1:]
+    for _ in range(40):
+        denominator = _scaled_value(slope, a, grid)
+        if denominator == 0:  # a critical point: the certificate will refuse it
+            break
+        step = _scaled_value(coeffs, a, grid) // denominator
+        a -= step
+        if abs(step) < 1 << 20:
+            break
+    with mpmath.workprec(bits + 2):
+        return mpmath.ldexp(a, -grid)
+
+
+def _certificate_failure(
+    coeffs: tuple[int, ...], roots: tuple[mpmath.mpf, ...], precision: int
+) -> str | None:
+    """Why the ascending `roots` fail their exact certificate, or None.
+
+    Probes: an integer Cauchy bound, the exact dyadic midpoints between
+    consecutive roots, and 0; the sign of p at probe i must be (-1)^(m-i).
+    Then each root must be negative with relative residual
+    |p(z)| / sum |c_n| |z|^n at most 2^(-precision/2), both in exact
+    integer arithmetic."""
+    m = len(coeffs) - 1
+    if any(a >= b for a, b in zip(roots, roots[1:])):
+        return "the roots are not strictly ascending"
+    cauchy = 1 + -(-max(abs(c) for c in coeffs) // abs(coeffs[-1]))
+    points = [_dyadic(z) for z in roots]
+    probes = [(-cauchy, 0)]
+    for (a, k), (b, j) in zip(points, points[1:]):
+        scale = max(k, j)
+        probes.append(((a << (scale - k)) + (b << (scale - j)), scale + 1))
+    probes.append((0, 0))
+    for i, (a, k) in enumerate(probes):
+        if _exact_sign(coeffs, a, k) != (-1 if (m - i) % 2 else 1):
+            return "could not separate the roots near probe %d" % i
+    magnitudes = tuple(abs(c) for c in coeffs)
+    half = -(-precision // 2)
+    for (a, k), z in zip(points, roots):
+        if a >= 0:
+            return "root %s is not negative" % mpmath.nstr(z, 10)
+        residual = abs(_scaled_value(coeffs, a, k))
+        if residual << half > _scaled_value(magnitudes, -a, k):
+            return "residual of root %s exceeds 2^-%d" % (mpmath.nstr(z, 10), half)
+    return None
+
+
+def _primitive(poly: list[Fraction]) -> list[Fraction]:
+    """The same polynomial scaled by a positive rational to coprime
+    integer coefficients, so a Sturm chain keeps small numbers."""
+    den = math.lcm(*(c.denominator for c in poly))
+    ints = [int(c * den) for c in poly]
+    g = math.gcd(*ints)
+    return [Fraction(c // g) for c in ints]
+
+
+def _remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of a by b, both descending coefficient lists."""
+    a = list(a)
+    while len(a) >= len(b):
+        factor = a[0] / b[0]
+        for i in range(len(b)):
+            a[i] -= factor * b[i]
+        a.pop(0)
+    while a and a[0] == 0:
+        a.pop(0)
+    return a
+
+
+def _classify(poly: DrinfeldPoly, reason: str) -> NoReturn:
+    """Raise the exact reason why the roots of `poly` could not be
+    certified: a repeated root (gcd(p, p') is not constant), a root at 0
+    or fewer than m distinct negative real roots (Sturm count), or, when
+    neither holds, a numerical separation failure described by `reason`."""
+    where = "sector (N=%d, L=%d, Q=%d)" % (poly.N, poly.L, poly.Q)
+    p = [Fraction(c) for c in reversed(poly.lam)]
+    while len(p) > 1 and p[0] == 0:  # a zero top coefficient lowers the degree
+        p.pop(0)
+    d = len(p) - 1
+    chain = [p, _primitive([c * (d - i) for i, c in enumerate(p[:-1])] or [Fraction(1)])]
+    while True:
+        rest = _remainder(chain[-2], chain[-1])
+        if not rest:
+            break
+        chain.append(_primitive([-c for c in rest]))
+    if len(chain[-1]) > 1:
+        raise RootClusterTooTightError("%s has a repeated root" % where)
+    if poly.lam[0] == 0:
+        raise NonRealRootError("%s has the root z = 0, which is not negative" % where)
+
+    def variations(signs):
+        signs = [s for s in signs if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_minus_infinity = variations(
+        (1 if q[0] > 0 else -1) * (-1) ** (len(q) - 1) for q in chain
+    )
+    at_zero = variations((q[-1] > 0) - (q[-1] < 0) for q in chain)
+    negative = at_minus_infinity - at_zero
+    if negative < poly.m:
+        raise NonRealRootError(
+            "%s has %d real negative roots out of %d" % (where, negative, poly.m)
+        )
+    raise RootClusterTooTightError("%s: %s; raise the precision" % (where, reason))
+
+
+@functools.lru_cache(maxsize=256)
 def solve_roots(poly: DrinfeldPoly, precision: int = 192) -> tuple[mpmath.mpf, ...]:
     """All m roots of the counts polynomial, ascending, at `precision`
-    bits.  The roots are certified real, simple and negative by exact
-    sign evaluation at rational probes separating the approximations;
-    each root is then Newton-polished and its relative residual checked
-    against 2^(-precision/2)."""
-    if precision < 128:
-        raise ValueError("precision below 128 bits is not supported")
-    m = poly.m
-    if m == 0:
+    bits.
+
+    Brackets come from a double-precision sign scan of lambda_Q(-x)
+    through the projection identity; each is bisected and then
+    Newton-polished at precision + 40 bits.  Every returned root is
+    certified exactly: alternating signs at m+1 dyadic probes prove m
+    simple real negative roots, one between each pair of probes, and
+    each root's relative residual is at most 2^(-precision/2).  When the
+    scan or the certificate fails, an exact Sturm classification raises
+    RootClusterTooTightError for a repeated root (or a separation the
+    working precision cannot resolve) and NonRealRootError when fewer
+    than m roots are real and negative."""
+    if precision < MIN_PRECISION:
+        raise ValueError("precision below %d bits is not supported" % MIN_PRECISION)
+    if poly.m == 0:
         return ()
-    coeffs = poly.lam
-    dps = int(precision * 0.302) + 10
-
-    with mpmath.workprec(2 * precision + 60):
-        try:
-            approx = mpmath.polyroots(
-                [mpmath.mpf(c) for c in reversed(coeffs)], maxsteps=120, extraprec=precision
-            )
-        except mpmath.libmp.NoConvergence:
-            approx = mpmath.polyroots(
-                [mpmath.mpf(c) for c in reversed(coeffs)],
-                maxsteps=600,
-                extraprec=2 * precision,
-            )
-        scale = max(abs(r) for r in approx)
-        for r in approx:
-            if abs(mpmath.im(r)) > scale * mpmath.mpf(2) ** (-precision // 2):
-                raise NonRealRootError(
-                    "root %s of sector (N=%d, L=%d, Q=%d) has a large imaginary part"
-                    % (mpmath.nstr(r, 10), poly.N, poly.L, poly.Q)
-                )
-        reals = sorted(mpmath.re(r) for r in approx)
-
-    # exact certification: probes strictly between consecutive roots, plus a
-    # Cauchy lower bound on the left and 0 on the right; the sign of the
-    # polynomial at probe i must be (-1)^(m-i)
-    bound = -(1 + Fraction(max(abs(c) for c in coeffs), coeffs[-1]))
-    probes = [bound]
-    for i in range(m - 1):
-        probes.append(_mid_fraction(reals[i], reals[i + 1], dps))
-    probes.append(Fraction(0))
-    for i, p in enumerate(probes):
-        want = -1 if (m - i) % 2 else 1
-        if _horner_sign(coeffs, p) != want:
-            raise RootClusterTooTightError(
-                "could not separate roots of sector (N=%d, L=%d, Q=%d) near probe %d; "
-                "raise the precision" % (poly.N, poly.L, poly.Q, i)
-            )
-
-    deriv = tuple(n * c for n, c in enumerate(coeffs) if n > 0)
-    polished = []
-    with mpmath.workprec(precision + 40):
-        for r in reals:
-            x = mpmath.mpf(r)
-            for _ in range(80):
-                fx = mpmath.polyval([mpmath.mpf(c) for c in reversed(coeffs)], x)
-                dfx = mpmath.polyval([mpmath.mpf(c) for c in reversed(deriv)], x)
-                step = fx / dfx
-                x = x - step
-                if abs(step) < abs(x) * mpmath.mpf(2) ** (-(precision + 20)):
-                    break
-            residual = abs(
-                mpmath.polyval([mpmath.mpf(c) for c in reversed(coeffs)], x)
-            ) / sum(abs(c) * abs(x) ** n for n, c in enumerate(coeffs))
-            if residual > mpmath.mpf(2) ** (-precision // 2):
-                raise RootClusterTooTightError(
-                    "residual %s too large for sector (N=%d, L=%d, Q=%d)"
-                    % (mpmath.nstr(residual, 5), poly.N, poly.L, poly.Q)
-                )
-            if x >= 0:
-                raise NonRealRootError("root %s is not negative" % mpmath.nstr(x, 10))
-            polished.append(x)
-    return tuple(polished)
+    brackets = _brackets(poly)
+    if brackets is None:
+        _classify(poly, "the sign scan did not find %d brackets" % poly.m)
+    roots = tuple(
+        _newton(poly.lam, -_bisect(poly, *bracket), precision)
+        for bracket in reversed(brackets)
+    )
+    failure = _certificate_failure(poly.lam, roots, precision)
+    if failure is not None:
+        _classify(poly, failure)
+    return roots
 
 
 # ---------------------------------------------------------------------------

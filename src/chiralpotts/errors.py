@@ -40,3 +40,9 @@ class DegenerateMaxEigenvalueError(Exception):
 class EigenbasisMismatchError(Exception):
     """The dominant transfer eigenvector and the Hamiltonian ground state
     of the same sector failed their proportionality check."""
+
+
+class CountingInvariantError(Exception):
+    """An exact structural fact of a sector counting polynomial failed:
+    its degree, its top coefficient, its coefficient total N^(L-1), or
+    the projection identity that reproduces it."""

@@ -293,10 +293,9 @@ def _kernel_matrix(inp: FormFactorInput, eps: int = 1):
         return B
 
 
-def kernel_orthogonality_residual(inp: FormFactorInput, eps: int = 1):
+def _orthogonality_residual(inp: FormFactorInput, B) -> mpmath.mpf:
     """Largest entry deviation of B B^T (or B^T B, whichever is the
     square of the smaller side) from the identity."""
-    B = _kernel_matrix(inp, eps)
     with mpmath.workprec(inp.working):
         if inp.m <= inp.mp:
             G = B * B.T
@@ -312,13 +311,19 @@ def kernel_orthogonality_residual(inp: FormFactorInput, eps: int = 1):
         return resid
 
 
+def kernel_orthogonality_residual(inp: FormFactorInput, eps: int = 1):
+    """Orthogonality residual of the Cauchy-kernel matrix of `inp`."""
+    return _orthogonality_residual(inp, _kernel_matrix(inp, eps))
+
+
 def dhat_det(inp: FormFactorInput, eps: int = 1):
     """Overlap amplitude D as det(1 + Y B Y' B^T) with Y, Y' the diagonal
     coupling matrices.  The kernel's orthogonality identity is verified
-    first; a violation means the working precision cannot support the
-    evaluation.  Returns (value, orthogonality_residual)."""
+    first on the same B; a violation means the working precision cannot
+    support the evaluation.  Returns (value, orthogonality_residual)."""
     with mpmath.workprec(inp.working):
-        resid = kernel_orthogonality_residual(inp, eps)
+        B = _kernel_matrix(inp, eps)
+        resid = _orthogonality_residual(inp, B)
         if resid > mpmath.mpf(2) ** (-inp.precision // 2):
             raise OrthogonalityViolationError(
                 "kernel orthogonality residual %s at %d bits"
@@ -326,10 +331,12 @@ def dhat_det(inp: FormFactorInput, eps: int = 1):
             )
         if inp.m == 0:
             return mpmath.mpf(1), resid
-        B = _kernel_matrix(inp, eps)
-        Y = mpmath.diag(inp.u)
-        Yp = mpmath.diag(inp.up)
-        M = mpmath.eye(inp.m) + Y * B * Yp * B.T
+        # Y B Y' with the diagonal factors applied as row and column scales
+        YBY = mpmath.zeros(inp.m, inp.mp)
+        for i in range(inp.m):
+            for j in range(inp.mp):
+                YBY[i, j] = inp.u[i] * B[i, j] * inp.up[j]
+        M = mpmath.eye(inp.m) + YBY * B.T
         val = mpmath.det(M)
         return val.real if isinstance(val, mpmath.mpc) else val, resid
 

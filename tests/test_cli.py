@@ -137,6 +137,40 @@ def test_csv_without_table_exits_two(runner):
     assert result.exit_code == 2
 
 
+def _assert_usage_error(result, option):
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and f"'{option}'" in errors[0]
+
+
+def test_precision_below_floor_exits_two(runner):
+    result = runner.invoke(cli.main, [
+        "drinfeld", "--N", "3", "--L", "4", "--Q", "0", "--prec", "64",
+    ])
+    _assert_usage_error(result, "--prec")
+
+
+def test_zero_width_exits_two(runner):
+    result = runner.invoke(cli.main, [
+        "order", "--N", "3", "--L", "0", "--r", "1", "--kp", "0.5",
+    ])
+    _assert_usage_error(result, "--L")
+
+
+def test_identity_width_without_table_rows_exits_two(runner):
+    result = runner.invoke(cli.main, ["identity", "--N", "3", "--L", "1"])
+    _assert_usage_error(result, "--L")
+
+
+def test_empty_alternating_sum_sample_exits_two(runner):
+    # without the range check the sampled identity ran on no pairs and passed
+    result = runner.invoke(cli.main, [
+        "appendix", "--N", "3", "--L", "5", "--samples", "0",
+    ])
+    _assert_usage_error(result, "--samples")
+
+
 def test_size_guard_exits_three_with_route_hint(runner):
     result = runner.invoke(cli.main, [
         "order", "--N", "3", "--L", "24", "--r", "1", "--kp", "0.5",

@@ -1,10 +1,16 @@
 """Sector counting polynomials, certified roots, and root transforms."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiralpotts import drinfeld
 from chiralpotts.drinfeld import (
     DrinfeldPoly,
     drinfeld_projection,
@@ -14,6 +20,7 @@ from chiralpotts.drinfeld import (
     solve_roots,
 )
 from chiralpotts.errors import (
+    CountingInvariantError,
     DomainError,
     NonRealRootError,
     RootClusterTooTightError,
@@ -34,6 +41,55 @@ def test_counts_validation():
         lambda_counts(3, 3, 3)
     with pytest.raises(ValueError):
         lambda_counts(1, 3, 0)
+
+
+def _wrong_block(change):
+    """A lambda_block stand-in that returns the true counts passed
+    through `change`."""
+    true_block = drinfeld.lambda_block
+
+    def block(N, L, Q):
+        return change(true_block(N, L, Q))
+
+    return block
+
+
+def test_counting_invariants_raise_typed_errors(monkeypatch):
+    # (3, 4, 0) has counts (1, 16, 10): each change breaks one invariant,
+    # and the swap keeps degree, top and total so only the projection sees it
+    for change in (
+        lambda lam: lam[:-1],
+        lambda lam: lam[:-1] + (0,),
+        lambda lam: lam[:-1] + (lam[-1] + 1,),
+    ):
+        monkeypatch.setattr(drinfeld, "lambda_block", _wrong_block(change))
+        with pytest.raises(CountingInvariantError):
+            lambda_counts(3, 4, 0)
+    monkeypatch.setattr(
+        drinfeld, "lambda_block", _wrong_block(lambda lam: (lam[1], lam[0]) + lam[2:])
+    )
+    with pytest.raises(CountingInvariantError):
+        drinfeld_projection(3, 4, 0)
+
+
+def test_counting_invariants_survive_optimize_flag():
+    # the same checks must still fire when python -O strips asserts
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    test_id = f"{Path(__file__).name}::test_counting_invariants_raise_typed_errors"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", test_id],
+        cwd=Path(__file__).resolve().parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout
 
 
 def test_projection_two_state_hand_value():
@@ -129,6 +185,86 @@ def test_root_cluster_detected():
         solve_roots(fake)
 
 
+def test_mislabelled_polynomial_is_refused():
+    # the bracket scan reads (N, L, Q) while the certificate reads the
+    # coefficients; a polynomial whose labels do not match them must be
+    # refused with a typed error, never solved wrongly
+    fake = DrinfeldPoly(N=3, L=6, Q=0, lam=lambda_counts(3, 5, 0).lam)
+    with pytest.raises(RootClusterTooTightError):
+        solve_roots(fake)
+
+
+def test_certificate_rejects_what_it_cannot_prove():
+    poly = lambda_counts(3, 12, 0)
+    roots = solve_roots(poly)
+    assert drinfeld._certificate_failure(poly.lam, roots, 192) is None
+    with mpmath.workprec(240):
+        nudged = roots[:3] + (roots[3] * (1 + mpmath.mpf(2) ** -80),) + roots[4:]
+    assert "residual" in drinfeld._certificate_failure(poly.lam, nudged, 192)
+    swapped = (roots[1], roots[0]) + roots[2:]
+    assert "ascending" in drinfeld._certificate_failure(poly.lam, swapped, 192)
+    assert "probe" in drinfeld._certificate_failure(poly.lam, roots[:-1], 192)
+
+
+def _merged_sector_labels(N, L):
+    """Sector labels of all roots of width L merged in ascending order."""
+    merged = sorted(
+        (z, Q) for Q in range(N) for z in solve_roots(lambda_counts(N, L, Q))
+    )
+    return [Q for _, Q in merged]
+
+
+def test_roots_interlace_across_sectors():
+    # merged in ascending order, the roots of one width run through the
+    # sectors cyclically with the charge falling by one each step, so any
+    # two sectors interlace
+    for N in (2, 3, 4):
+        for L in (6, 10, 15, 20):
+            labels = _merged_sector_labels(N, L)
+            assert all((a - b) % N == 1 for a, b in zip(labels, labels[1:]))
+
+
+def test_roots_interlace_between_consecutive_widths():
+    for N in (3, 4):
+        for L in (6, 10, 15, 20):
+            for Q in range(N):
+                merged = sorted(
+                    [(z, 0) for z in solve_roots(lambda_counts(N, L, Q))]
+                    + [(z, 1) for z in solve_roots(lambda_counts(N, L + 1, Q))]
+                )
+                labels = [w for _, w in merged]
+                assert all(a != b for a, b in zip(labels, labels[1:]))
+
+
+def test_roots_agree_with_polyroots():
+    # mpmath.polyroots at more than twice the precision, as an independent
+    # oracle for the bracket-and-polish solver
+    precision = 192
+    for N in (2, 3, 4):
+        for L in (5, 12, 18):
+            for Q in range(N):
+                poly = lambda_counts(N, L, Q)
+                roots = solve_roots(poly, precision)
+                with mpmath.workprec(2 * precision + 60):
+                    oracle = sorted(
+                        mpmath.re(r)
+                        for r in mpmath.polyroots(
+                            poly.lam[::-1], maxsteps=200, extraprec=precision
+                        )
+                    )
+                    for z, w in zip(roots, oracle, strict=True):
+                        assert abs(z - w) <= abs(w) * mpmath.mpf(2) ** -(precision - 8)
+
+
+def test_reciprocal_roots_pair_at_width_sixty():
+    a = solve_roots(lambda_counts(3, 60, 1))
+    b = solve_roots(lambda_counts(3, 60, 2))
+    assert len(a) == len(b) == 39
+    with mpmath.workprec(240):
+        for x, y in zip(a, sorted(1 / z for z in b)):
+            assert abs(x - y) <= abs(x) * mpmath.mpf(2) ** -184
+
+
 def test_reciprocal_roots_pair_opposite_sectors_when_length_divisible():
     # with N | L, the partner of sector P is N - P, so the reciprocals of
     # one sector's roots are the other's
@@ -186,6 +322,24 @@ def test_transforms_coupling_validation():
 
 def test_sector_roots_shortcut():
     assert sector_roots(3, 2, 0) == solve_roots(lambda_counts(3, 2, 0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    N=st.integers(min_value=2, max_value=6),
+    L=st.integers(min_value=1, max_value=40),
+    log_x=st.floats(min_value=-12.0, max_value=12.0),
+    data=st.data(),
+)
+def test_identity_scan_sign_is_exact_where_resolved(N, L, log_x, data):
+    # a double-precision sign from the projection identity is either
+    # declined (0) or equal to the exact sign of the integer polynomial
+    Q = data.draw(st.integers(min_value=0, max_value=N - 1))
+    x = 10.0**log_x
+    sign = drinfeld._identity_sign(N, L, Q, x)
+    if sign:
+        lam = lambda_counts(N, L, Q).lam
+        assert sign == drinfeld._exact_sign(lam, *drinfeld._dyadic(-x))
 
 
 @settings(deadline=None, max_examples=30)
