@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -27,14 +26,7 @@ from dataclasses import asdict, dataclass
 import click
 import mpmath
 
-from .combi import (
-    EdgeConfig,
-    compositions,
-    gen_function_pair,
-    ibi_check,
-    identity_check,
-    uqp_check,
-)
+from .combi import appendix_suite, identity_check
 from .drinfeld import (
     MIN_PRECISION,
     drinfeld_projection,
@@ -44,16 +36,14 @@ from .drinfeld import (
 )
 from .errors import SizeGuardError
 from .formfactor import (
+    METHODS,
     couplings,
-    dhat_closed,
-    dhat_det,
-    dhat_sum,
+    dhat_routes,
     order_param_sq,
     overlap_product_closed,
 )
 
 ORACLE_TOL = 1e-8
-ROUTE_TOL = 1e-10
 FLOAT_BITS = 53
 
 # Argument ranges; a value outside them exits 2 like any other usage error.
@@ -101,6 +91,11 @@ def _check_kp(kp: str | None, required: bool = True) -> str | None:
 def _check_sector(name: str, value: int | None, N: int) -> None:
     if value is not None and not 0 <= value < N:
         raise click.UsageError(f"--{name} must lie in [0, {N}), got {value}")
+
+
+def _check_offset(offset: int, n: int) -> None:
+    if not 1 <= offset < n:
+        raise click.UsageError(f"--r must lie in [1, {n}), got {offset}")
 
 
 def _dps(bits: int) -> int:
@@ -217,49 +212,20 @@ def identity(n, width, out, fmt):
 def appendix(n, width, samples, out, fmt):
     """Exact generating-function, recursion and alternating-sum checks."""
     config = RunConfig(command="appendix", N=n, L=width, out=out, format=fmt)
-    failures = []
-
-    genfun_checked = 0
-    for digits in compositions(n, width, n - 1):
-        definition, closed = gen_function_pair(EdgeConfig(n, width, digits))
-        genfun_checked += 1
-        if definition != closed:
-            failures.append(("genfun", digits))
-
     try:
-        recursion = uqp_check(n, width)
+        report = appendix_suite(n, width, samples)
     except SizeGuardError as exc:
         _size_guard(exc)
-    failures.extend(("recursion", f) for f in recursion["failures"])
-
-    all_configs = [
-        digits
-        for total in range(n * (width - 1) + 1)
-        for digits in compositions(total, width, n - 1)
-    ]
-    upper = [d for d in all_configs if sum(d) >= n]
-    exhaustive = len(upper) * len(all_configs) <= 4096
-    if exhaustive:
-        pairs = [(mu, lam) for mu in upper for lam in all_configs]
-    else:
-        rng = random.Random(0x5EED)
-        pairs = [
-            (rng.choice(upper), rng.choice(all_configs)) for _ in range(samples)
-        ]
-    for mu, lam in pairs:
-        if not ibi_check(n, width, mu, lam)["ok"]:
-            failures.append(("alternating_sum", mu, lam))
-
     payload = {
-        "genfun_checked": genfun_checked,
-        "recursion_checked": recursion["checked"],
-        "alternating_sum_checked": len(pairs),
-        "alternating_sum_exhaustive": exhaustive,
-        "pass": not failures,
+        "genfun_checked": report["genfun_checked"],
+        "recursion_checked": report["recursion_checked"],
+        "alternating_sum_checked": report["alternating_sum_checked"],
+        "alternating_sum_exhaustive": report["alternating_sum_exhaustive"],
+        "pass": report["ok"],
     }
     _emit(config, payload)
-    if failures:
-        _verification_failed(failures)
+    if not report["ok"]:
+        _verification_failed(report["failures"])
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +283,7 @@ def drinfeld(n, width, charge, kp, prec, out, fmt):
 @click.option("--P", "charge_p", type=int, required=True)
 @click.option("--kp", type=str, required=True)
 @click.option("--prec", type=PRECISION, default=192, show_default=True)
-@click.option("--method", type=click.Choice(["sum", "det", "closed", "all"]),
+@click.option("--method", type=click.Choice(METHODS),
               default="all", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
@@ -333,31 +299,15 @@ def formfactor(n, width, charge, charge_p, kp, prec, method, out, fmt):
         prec=prec, method=method, out=out, format=fmt,
     )
     inp = couplings(n, width, Q=charge, P=charge_p, kp=kp, precision=prec)
-    routes = {}
-    route_residuals = {}
     try:
-        with mpmath.workprec(inp.working):
-            if method in ("closed", "all"):
-                routes["closed"] = dhat_closed(inp)
-            if method in ("det", "all"):
-                value, orth = dhat_det(inp)
-                routes["det"] = value
-                route_residuals["orthogonality"] = orth
-            if method in ("sum", "all"):
-                routes["sum"] = dhat_sum(inp)
+        run = dhat_routes(inp, method)
     except SizeGuardError as exc:
         _size_guard(exc, hint="use --method det for large root counts")
-    names = sorted(routes)
-    disagreements = []
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            diff = abs(routes[a] - routes[b])
-            route_residuals[f"{a}_vs_{b}"] = diff
-            if diff > ROUTE_TOL:
-                disagreements.append((a, b, _num(diff, prec)))
-    dhat = routes[names[0]]
+    residuals = dict(run.differences)
+    if run.orthogonality is not None:
+        residuals["orthogonality"] = run.orthogonality
     with mpmath.workprec(inp.working):
-        overlap = inp.cc_product * dhat**2
+        overlap = inp.cc_product * run.preferred**2
         overlap_alt = overlap_product_closed(inp)
         rearranged = abs(overlap - overlap_alt)
     payload = {
@@ -365,14 +315,13 @@ def formfactor(n, width, charge, charge_p, kp, prec, method, out, fmt):
         "mp": inp.mp,
         "swapped": inp.swapped,
         "cc_product": _num(inp.cc_product, prec),
-        "dhat": {name: _rec(routes[name], prec) for name in names},
-        "overlap": _rec(overlap, prec, rearranged_product=rearranged,
-                        **route_residuals),
-        "pass": not disagreements,
+        "dhat": {name: _rec(value, prec) for name, value in run.values.items()},
+        "overlap": _rec(overlap, prec, rearranged_product=rearranged, **residuals),
+        "pass": not run.failures,
     }
     _emit(config, payload)
-    if disagreements:
-        _verification_failed(disagreements)
+    if run.failures:
+        _verification_failed([(a, b, _num(d, prec)) for a, b, d in run.failures])
 
 
 @main.command()
@@ -381,19 +330,27 @@ def formfactor(n, width, charge, charge_p, kp, prec, method, out, fmt):
 @click.option("--r", "offset", type=int, required=True)
 @click.option("--kp", type=str, required=True)
 @click.option("--prec", type=PRECISION, default=192, show_default=True)
-@click.option("--method", type=click.Choice(["sum", "det", "closed", "all"]),
+@click.option("--method", type=click.Choice(METHODS),
               default="closed", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def order(n, width, offset, kp, prec, method, out, fmt):
     """Squared magnetization of charge r at one width, plus its limit."""
     kp = _check_kp(kp)
-    if not 1 <= offset < n:
-        raise click.UsageError(f"--r must lie in [1, {n}), got {offset}")
+    _check_offset(offset, n)
     config = RunConfig(
         command="order", N=n, L=width, r=offset, kp=kp, prec=prec,
         method=method, out=out, format=fmt,
     )
+    result, failures = _order_run(n, offset, kp, width, prec, method)
+    _emit(config, _order_payload(result, prec))
+    if failures:
+        _verification_failed(failures)
+
+
+def _order_run(n, offset, kp, width, prec, method) -> tuple[dict, list[tuple]]:
+    """`order_param_sq` with its size guard mapped to exit 3, and (Q, P,
+    route, route, difference) for each route pair apart by more than ROUTE_TOL."""
     try:
         result = order_param_sq(n, offset, kp, width, precision=prec, method=method)
     except SizeGuardError as exc:
@@ -401,8 +358,12 @@ def order(n, width, offset, kp, prec, method, out, fmt):
             exc,
             hint="use --method det for large widths" if method == "sum" else None,
         )
-    payload = _order_payload(result, prec)
-    _emit(config, payload)
+    failures = [
+        (entry["Q"], entry["P"], a, b, _num(diff, prec))
+        for entry in result["per_sector"]
+        for a, b, diff in entry["route_failures"]
+    ]
+    return result, failures
 
 
 def _order_payload(result: dict, prec: int) -> dict:
@@ -533,8 +494,7 @@ def correlate(n, width, kp, offset, ell, out, fmt):
     vector of the bra sector.
     """
     kp = _check_kp(kp)
-    if not 1 <= offset < n:
-        raise click.UsageError(f"--r must lie in [1, {n}), got {offset}")
+    _check_offset(offset, n)
     if ell < 0:
         raise click.UsageError(f"--ell must be nonnegative, got {ell}")
     config = RunConfig(
@@ -594,7 +554,7 @@ def correlate(n, width, kp, offset, ell, out, fmt):
 @click.option("--L", "widths", type=WIDTH, multiple=True, required=True,
               help="Repeat for each width, ascending.")
 @click.option("--prec", type=PRECISION, default=192, show_default=True)
-@click.option("--method", type=click.Choice(["sum", "det", "closed", "all"]),
+@click.option("--method", type=click.Choice(METHODS),
               default="det", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv",
@@ -607,8 +567,7 @@ def sweep(n, offset, kp, widths, prec, method, out, fmt):
     reproducible byte for byte.
     """
     kp = _check_kp(kp)
-    if not 1 <= offset < n:
-        raise click.UsageError(f"--r must lie in [1, {n}), got {offset}")
+    _check_offset(offset, n)
     if list(widths) != sorted(set(widths)):
         raise click.UsageError("--L values must be strictly ascending")
     config = RunConfig(
@@ -617,18 +576,12 @@ def sweep(n, offset, kp, widths, prec, method, out, fmt):
     )
     rows = []
     errors = []
+    failures = []
     for width in widths:
         started = time.perf_counter()
-        try:
-            result = order_param_sq(
-                n, offset, kp, width, precision=prec, method=method
-            )
-        except SizeGuardError as exc:
-            _size_guard(
-                exc,
-                hint="use --method det for large widths" if method == "sum" else None,
-            )
+        result, width_failures = _order_run(n, offset, kp, width, prec, method)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
+        failures.extend((width, *f) for f in width_failures)
         lead = result["per_sector"][0]
         errors.append(result["abs_error"])
         rows.append({
@@ -647,6 +600,8 @@ def sweep(n, offset, kp, widths, prec, method, out, fmt):
         "abs_error_monotone": monotone,
     }
     _emit(config, payload, csv_rows=rows)
+    if failures:
+        _verification_failed(failures)
 
 
 if __name__ == "__main__":

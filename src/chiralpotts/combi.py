@@ -13,14 +13,22 @@ factorization and the polynomial exchange identities behind it, exactly.
 from __future__ import annotations
 
 import functools
+import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .cyclo import CycNum, CycPoly, gauss_binom, pochhammer
-from .errors import SizeGuardError
+from .errors import CountingInvariantError, SizeGuardError
 
 ENUM_GUARD = 10**7
+# Entries per memoized table; one exact suite reads (N-1)L + 1 configuration
+# totals, and the composition count recursion reuses only the width below.
+CACHE_SIZE = 512
+# Alternating-sum pairs checked exhaustively up to this count, else sampled.
+EXHAUSTIVE_PAIRS = 4096
+SAMPLE_SEED = 0x5EED
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +51,7 @@ def compositions(total: int, length: int, max_part: int) -> Iterator[tuple[int, 
             yield (first,) + rest
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def count_compositions(total: int, length: int, max_part: int) -> int:
     if total < 0:
         return 0
@@ -55,7 +63,7 @@ def count_compositions(total: int, length: int, max_part: int) -> int:
     )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def level_counts(N: int, L: int) -> tuple[int, ...]:
     """Number of configurations in [0, N-1]^L with total s, for every s
     from 0 to (N-1)L; the coefficient list of ((1 - x^N)/(1 - x))^L."""
@@ -215,8 +223,9 @@ class GTable:
 def calG_table(N: int, L: int) -> GTable:
     """Build the full overlap table by exact enumeration.
 
-    Asserts integrality of every entry (each is a rational integer even
-    though the summands are cyclotomic) and symmetry of the table."""
+    Checks integrality of every entry (each is a rational integer even
+    though the summands are cyclotomic), the number of configurations
+    visited and the symmetry of the table."""
     n_configs = count_compositions(N, L, N - 1)
     if n_configs > ENUM_GUARD:
         raise SizeGuardError(
@@ -240,11 +249,17 @@ def calG_table(N: int, L: int) -> GTable:
                 if not K[b].is_zero():
                     row[b] = row[b] + ka * K[b]
         seen += 1
-    assert seen == n_configs
+    if seen != n_configs:
+        raise CountingInvariantError(
+            "enumerated %d configurations of total %d, counted %d" % (seen, N, n_configs)
+        )
     entries = tuple(tuple(acc[a][b].as_int() for b in range(dim)) for a in range(dim))
     for a in range(dim):
         for b in range(a):
-            assert entries[a][b] == entries[b][a], "table must be symmetric"
+            if entries[a][b] != entries[b][a]:
+                raise CountingInvariantError(
+                    "overlap table is not symmetric at (%d, %d)" % (a, b)
+                )
     return GTable(N=N, L=L, entries=entries, n_configs=n_configs)
 
 
@@ -252,19 +267,23 @@ def calG_table(N: int, L: int) -> GTable:
 # exchange sums (the polynomial kernels of the appendix identities)
 
 
+def _exchange_sums(mu: tuple[int, ...], lam: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Partial sums of both kernels: mu over the sites strictly before i,
+    lam over the sites strictly after i."""
+    if len(lam) != len(mu):
+        raise ValueError("mu and lam must have the same length")
+    mu_prefix = [0, *itertools.accumulate(mu)][: len(mu)]
+    lam_suffix = [0, *itertools.accumulate(reversed(lam))][: len(lam)][::-1]
+    return mu_prefix, lam_suffix
+
+
 def exchange_sum(n: int, mu: tuple[int, ...], lam: tuple[int, ...], N: int) -> CycNum:
     """sum over {n_i >= 0, sum n_i = n} of
     prod_i [mu_i choose n_i] [n_i + lam_i choose n_i]
     omega^(n_i (mu_prefix_i - n_prefix_i + lam_suffix_i))."""
+    mu_prefix, lam_suffix = _exchange_sums(mu, lam)
     L = len(mu)
-    assert len(lam) == L
     order = 2 * N
-    mu_prefix = [0] * L
-    for i in range(1, L):
-        mu_prefix[i] = mu_prefix[i - 1] + mu[i - 1]
-    lam_suffix = [0] * L
-    for i in range(L - 2, -1, -1):
-        lam_suffix[i] = lam_suffix[i + 1] + lam[i + 1]
     site_cap = [min(mu[i], N - 1 - lam[i]) for i in range(L)]
     tail_cap = [0] * (L + 1)
     for i in range(L - 1, -1, -1):
@@ -297,15 +316,9 @@ def exchange_sum_dual(n: int, lam: tuple[int, ...], mu: tuple[int, ...], N: int)
     """The dual kernel: sum over {n_i, sum = n} of
     prod_i [lam_i choose n_i] [n_i + mu_i choose n_i]
     omega^(n_i (lam_suffix_i - n_suffix_i + mu_prefix_i))."""
+    mu_prefix, lam_suffix = _exchange_sums(mu, lam)
     L = len(mu)
-    assert len(lam) == L
     order = 2 * N
-    mu_prefix = [0] * L
-    for i in range(1, L):
-        mu_prefix[i] = mu_prefix[i - 1] + mu[i - 1]
-    lam_suffix = [0] * L
-    for i in range(L - 2, -1, -1):
-        lam_suffix[i] = lam_suffix[i + 1] + lam[i + 1]
 
     total = CycNum.zero(order)
 
@@ -352,6 +365,14 @@ def _alternating_exchange_poly(
 # check routines
 
 
+def _level_table(N: int, L: int) -> list[tuple[int, ...]]:
+    """Lambda^C_m as lam[C][m] for every charge C, zero-padded to twice the
+    longest block, past the largest index l + 1 + j the table checks use."""
+    blocks = [lambda_block(N, L, C) for C in range(N)]
+    width = 2 * len(blocks[0])
+    return [block + (0,) * (width - len(block)) for block in blocks]
+
+
 def identity_check(N: int, L: int) -> dict:
     """Verify, for every row index lN + Q and column index jN + P with
     P >= Q, that the overlap table entry equals
@@ -359,15 +380,10 @@ def identity_check(N: int, L: int) -> dict:
         sum_{m=0}^{j} [ (l-m) Lam^Q_{l+1+j-m} Lam^P_m
                         + (j-m+1) Lam^Q_m Lam^P_{l+1+j-m} ]
 
-    and that the table is symmetric (which settles P < Q).  Exact
-    integer comparison throughout."""
+    and that the table is symmetric (`calG_table` checks it, which
+    settles P < Q).  Exact integer comparison throughout."""
     table = calG_table(N, L)
-    blocks = {Q: lambda_block(N, L, Q) for Q in range(N)}
-
-    def lam(Q: int, m: int) -> int:
-        blk = blocks[Q]
-        return blk[m] if 0 <= m < len(blk) else 0
-
+    lam = _level_table(N, L)
     checked = 0
     failures: list[dict] = []
     for a in range(table.dim):
@@ -378,31 +394,26 @@ def identity_check(N: int, L: int) -> dict:
                 continue
             rhs = 0
             for m in range(j + 1):
-                rhs += (ell - m) * lam(Q, ell + 1 + j - m) * lam(P, m)
-                rhs += (j - m + 1) * lam(Q, m) * lam(P, ell + 1 + j - m)
+                rhs += (ell - m) * lam[Q][ell + 1 + j - m] * lam[P][m]
+                rhs += (j - m + 1) * lam[Q][m] * lam[P][ell + 1 + j - m]
             checked += 1
             if rhs != table.entry(a, b):
                 failures.append(
                     {"row": a, "col": b, "table": table.entry(a, b), "identity": rhs}
                 )
-    symmetric = all(
-        table.entry(a, b) == table.entry(b, a)
-        for a in range(table.dim)
-        for b in range(a)
-    )
     return {
         "N": N,
         "L": L,
         "dim": table.dim,
         "n_configs": table.n_configs,
         "checked": checked,
-        "symmetric": symmetric,
+        "symmetric": True,
         "failures": failures,
-        "ok": symmetric and not failures,
+        "ok": not failures,
     }
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _configs_with_total(N: int, L: int, total: int) -> tuple[tuple[int, ...], ...]:
     return tuple(compositions(total, L, N - 1))
 
@@ -440,18 +451,12 @@ def _correction_from_exchange(
     return total
 
 
-def _correction_from_counts(
-    blocks: dict[int, tuple[int, ...]], Q: int, P: int, ell: int, j: int
-) -> int:
+def _correction_from_counts(lam, Q: int, P: int, ell: int, j: int) -> int:
     """The closed form of the same correction term, a plain integer:
-    sum_{n=0}^{j} Lam^Q_n Lam^P_{l+1+j-n} - sum_{n=0}^{j-1} Lam^P_n Lam^Q_{l+1+j-n}."""
-
-    def lam(C: int, m: int) -> int:
-        blk = blocks[C]
-        return blk[m] if 0 <= m < len(blk) else 0
-
-    first = sum(lam(Q, n) * lam(P, ell + 1 + j - n) for n in range(j + 1))
-    second = sum(lam(P, n) * lam(Q, ell + 1 + j - n) for n in range(j))
+    sum_{n=0}^{j} Lam^Q_n Lam^P_{l+1+j-n} - sum_{n=0}^{j-1} Lam^P_n Lam^Q_{l+1+j-n},
+    with lam the table of `_level_table`."""
+    first = sum(lam[Q][n] * lam[P][ell + 1 + j - n] for n in range(j + 1))
+    second = sum(lam[P][n] * lam[Q][ell + 1 + j - n] for n in range(j))
     return first - second
 
 
@@ -465,12 +470,7 @@ def uqp_check(N: int, L: int) -> dict:
          + entry((l+1)N+Q, (j-1)N+P) + correction  holds on the table;
       3. for P = Q the correction collapses to Lam^Q_{l+1} Lam^Q_j."""
     table = calG_table(N, L)
-    blocks = {Q: lambda_block(N, L, Q) for Q in range(N)}
-
-    def lam(C: int, m: int) -> int:
-        blk = blocks[C]
-        return blk[m] if 0 <= m < len(blk) else 0
-
+    lam = _level_table(N, L)
     checked = 0
     failures: list[dict] = []
     for a in range(table.dim):
@@ -480,9 +480,9 @@ def uqp_check(N: int, L: int) -> dict:
             if P < Q:
                 continue
             kernel = _correction_from_exchange(N, L, Q, P, ell, j)
-            closed = _correction_from_counts(blocks, Q, P, ell, j)
+            closed = _correction_from_counts(lam, Q, P, ell, j)
             recursion = (
-                (ell - j) * lam(Q, ell + 1) * lam(P, j)
+                (ell - j) * lam[Q][ell + 1] * lam[P][j]
                 + table.entry(a + N, b - N)
                 + closed
             )
@@ -492,7 +492,7 @@ def uqp_check(N: int, L: int) -> dict:
                 problems["kernel_vs_closed"] = (repr(kernel), closed)
             if recursion != table.entry(a, b):
                 problems["recursion"] = (recursion, table.entry(a, b))
-            if P == Q and closed != lam(Q, ell + 1) * lam(Q, j):
+            if P == Q and closed != lam[Q][ell + 1] * lam[Q][j]:
                 problems["equal_charge_product"] = closed
             if problems:
                 failures.append({"row": a, "col": b, **problems})
@@ -550,4 +550,44 @@ def ibi_check(N: int, L: int, mu, lam) -> dict:
         "lhs_degree": lhs.degree,
         "rhs_degree": rhs.degree,
         "ok": equal,
+    }
+
+
+def appendix_suite(N: int, L: int, samples: int) -> dict:
+    """The appendix identities at one size: the closed generating function
+    of every configuration of total N, the table recursion (`uqp_check`)
+    and the alternating-sum identity (`ibi_check`) on all (mu, lam) pairs,
+    or on `samples` pairs drawn with SAMPLE_SEED past EXHAUSTIVE_PAIRS.
+    Returns the count of each check and the failing tuples."""
+    failures: list[tuple] = []
+    genfun_checked = 0
+    for digits in compositions(N, L, N - 1):
+        definition, closed = gen_function_pair(EdgeConfig(N, L, digits))
+        genfun_checked += 1
+        if definition != closed:
+            failures.append(("genfun", digits))
+    recursion = uqp_check(N, L)
+    failures.extend(("recursion", f) for f in recursion["failures"])
+    configs = [
+        digits
+        for total in range(N * (L - 1) + 1)
+        for digits in compositions(total, L, N - 1)
+    ]
+    upper = [d for d in configs if sum(d) >= N]
+    exhaustive = len(upper) * len(configs) <= EXHAUSTIVE_PAIRS
+    if exhaustive:
+        pairs = [(mu, lam) for mu in upper for lam in configs]
+    else:
+        rng = random.Random(SAMPLE_SEED)
+        pairs = [(rng.choice(upper), rng.choice(configs)) for _ in range(samples)]
+    for mu, lam in pairs:
+        if not ibi_check(N, L, mu, lam)["ok"]:
+            failures.append(("alternating_sum", mu, lam))
+    return {
+        "genfun_checked": genfun_checked,
+        "recursion_checked": recursion["checked"],
+        "alternating_sum_checked": len(pairs),
+        "alternating_sum_exhaustive": exhaustive,
+        "failures": failures,
+        "ok": not failures,
     }

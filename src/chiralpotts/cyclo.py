@@ -20,6 +20,9 @@ from fractions import Fraction
 
 import mpmath
 
+# Cyclotomic orders kept memoized; a run uses the order 2N and its divisors.
+CACHE_SIZE = 64
+
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (dense lists, constant term first)
@@ -48,7 +51,7 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     return quo, num
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial Phi_n, constant first.
 
@@ -65,11 +68,12 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _poly_divmod(poly, list(cyclotomic_poly(d)))
-            assert not rem
+            if rem:
+                raise ArithmeticError("Phi_%d does not divide x^%d - 1" % (d, n))
     return tuple(poly)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
     """Canonical vectors (length `order`) for zeta^k mod Phi_order,
     one row per k in [0, order)."""

@@ -43,6 +43,12 @@ class EigenbasisMismatchError(Exception):
 
 
 class CountingInvariantError(Exception):
-    """An exact structural fact of a sector counting polynomial failed:
-    its degree, its top coefficient, its coefficient total N^(L-1), or
-    the projection identity that reproduces it."""
+    """An exact structural fact of the counting failed: the degree, top
+    coefficient, coefficient total N^(L-1) or projection identity of a
+    sector counting polynomial, the root-count gap of a sector pair, or
+    the configuration count or symmetry of the overlap table."""
+
+
+class IdentityViolationError(Exception):
+    """Two sides of an identity disagreed beyond their bound: a power sum
+    and its two-pole form, or a Hamiltonian block and its adjoint."""

@@ -18,18 +18,25 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 
 from .combi import lambda_block
 from .drinfeld import RootData, lambda_counts, root_transforms, sector_roots
 from .errors import (
+    CountingInvariantError,
+    DomainError,
+    IdentityViolationError,
     OrthogonalityViolationError,
     SingularConfigurationError,
     SizeGuardError,
 )
 
 SUBSET_SUM_CAP = 12
+# Largest difference between two routes' values of D that counts as agreement.
+ROUTE_TOL = 1e-10
+METHODS = ("sum", "det", "closed", "all")
 
 
 def _pval(coeffs, x):
@@ -51,7 +58,8 @@ def _pder(coeffs, x):
 @dataclass(frozen=True)
 class FormFactorInput:
     """Everything one sector pair needs: transformed roots of both
-    sectors, the four coupling families, and the scalar cc product."""
+    sectors, the ket couplings u and bra couplings u', and the scalar cc
+    product."""
 
     N: int
     L: int
@@ -64,8 +72,6 @@ class FormFactorInput:
     roots_bra: RootData
     u: tuple[mpmath.mpf, ...]
     up: tuple[mpmath.mpf, ...]
-    uh: tuple[mpmath.mpf, ...]
-    uph: tuple[mpmath.mpf, ...]
     cc_product: mpmath.mpf
 
     @property
@@ -81,17 +87,32 @@ class FormFactorInput:
         return 2 * self.precision
 
 
+def _root_couplings(roots: RootData, kpv, tol):
+    """Per root (a, b) = ((lam-1+k')/(lam+1+k'), -(lam-1-k')/(lam+1-k')),
+    the ket and bra couplings, checked against their relation b = -z a."""
+    out = []
+    for z, lam in zip(roots.z, roots.lam):
+        a = (lam - 1 + kpv) / (lam + 1 + kpv)
+        b = -(lam - 1 - kpv) / (lam + 1 - kpv)
+        if not abs(b + z * a) < tol * abs(b):
+            raise DomainError(
+                "couplings at z = %s break b = -z a by %s"
+                % (mpmath.nstr(z, 10), mpmath.nstr(abs(b + z * a), 5))
+            )
+        out.append((a, b))
+    return out
+
+
 def couplings(
     N: int, L: int, Q: int, P: int, kp, precision: int = 192
 ) -> FormFactorInput:
     """Build the sector-pair input.  Roles are swapped if needed so the
     bra charge is the smaller label; root counts decrease weakly with
     the charge, so this also puts the larger root count m' on the bra
-    side with a gap m' - m in {0, 1}, which is asserted.  The charge
+    side with a gap m' - m in {0, 1}, which is checked.  The charge
     rule matters on its own: for pairs with equal root counts only the
     charge-ordered orientation reproduces the physical overlap, the
-    other one is a different (finite) quantity.  Coupling ranges and the
-    two-route consistency of the hatted couplings are asserted too."""
+    other one is a different (finite) quantity."""
     kp_str = str(kp)
     if P == Q:
         raise ValueError("sector pair needs distinct charges")
@@ -100,8 +121,9 @@ def couplings(
         Q, P = P, Q
     roots_ket = root_transforms(lambda_counts(N, L, P), kp_str, precision)
     roots_bra = root_transforms(lambda_counts(N, L, Q), kp_str, precision)
-    m, mp_ = roots_ket.m, roots_bra.m
-    assert mp_ - m in (0, 1)
+    gap = roots_bra.m - roots_ket.m
+    if gap not in (0, 1):
+        raise CountingInvariantError("root-count gap m' - m = %d is not 0 or 1" % gap)
     with mpmath.workprec(2 * precision):
         kpv = mpmath.mpf(kp_str)
         tol = mpmath.mpf(2) ** (-precision)
@@ -112,24 +134,8 @@ def couplings(
                         "sectors %d and %d share the root %s"
                         % (P, Q, mpmath.nstr(z, 10))
                     )
-        u, uh = [], []
-        for z, lam in zip(roots_ket.z, roots_ket.lam):
-            ui = (lam - 1 + kpv) / (lam + 1 + kpv)
-            uhi = -(lam - 1 - kpv) / (lam + 1 - kpv)
-            assert 0 < ui < 1
-            assert uhi > 0
-            assert abs(uhi - (-z * ui)) < tol * abs(uhi)
-            u.append(ui)
-            uh.append(uhi)
-        up, uph = [], []
-        for z, lam in zip(roots_bra.z, roots_bra.lam):
-            upi = -(lam - 1 - kpv) / (lam + 1 - kpv)
-            uphi = (lam - 1 + kpv) / (lam + 1 + kpv)
-            assert upi > 0
-            assert 0 < uphi < 1
-            assert abs(uphi - (-upi / z)) < tol * abs(uphi)
-            up.append(upi)
-            uph.append(uphi)
+        u = tuple(a for a, _ in _root_couplings(roots_ket, kpv, tol))
+        up = tuple(b for _, b in _root_couplings(roots_bra, kpv, tol))
         cc = mpmath.mpf(1)
         for lam in roots_ket.lam + roots_bra.lam:
             cc *= ((lam + 1) ** 2 - kpv**2) / (4 * lam)
@@ -143,10 +149,8 @@ def couplings(
         swapped=swapped,
         roots_ket=roots_ket,
         roots_bra=roots_bra,
-        u=tuple(u),
-        up=tuple(up),
-        uh=tuple(uh),
-        uph=tuple(uph),
+        u=u,
+        up=up,
         cc_product=cc,
     )
 
@@ -168,13 +172,9 @@ def _validate_subsets(inp: FormFactorInput, W, Wp):
     return W, Wp
 
 
-def psi_closed(inp: FormFactorInput, W, Wp, variant: str = "plain"):
+def psi_closed(inp: FormFactorInput, W, Wp):
     """Closed product form of the vacuum overlap selected by the ket
-    subset W and bra subset Wp.  The plain variant pairs with the
-    couplings u, u'; the hatted one carries an extra 1/z per ket index
-    and z' per bra index and pairs with the hatted couplings."""
-    if variant not in ("plain", "hatted"):
-        raise ValueError("variant must be 'plain' or 'hatted'")
+    subset W and bra subset Wp; it pairs with the couplings u, u'."""
     W, Wp = _validate_subsets(inp, W, Wp)
     z, zp = inp.roots_ket.z, inp.roots_bra.z
     V = [i for i in range(inp.m) if i not in W]
@@ -193,46 +193,10 @@ def psi_closed(inp: FormFactorInput, W, Wp, variant: str = "plain"):
         for i in Wp:
             for j in Vp:
                 val /= zp[i] - zp[j]
-        if variant == "hatted":
-            for i in W:
-                val /= z[i]
-            for j in Wp:
-                val *= zp[j]
         return val
 
 
-def psi_closed_angular(inp: FormFactorInput, W, Wp):
-    """Same overlap through the cosine variables c = -(1+z)/(1-z): the
-    cross ratios of c differences times the correction
-    prod_bra (c'-1)^(m'-m) / prod_ket (c-1)^(m'-m).  Exists to check the
-    z-variable product against an independently derived form."""
-    W, Wp = _validate_subsets(inp, W, Wp)
-    c, cp = inp.roots_ket.c, inp.roots_bra.c
-    V = [i for i in range(inp.m) if i not in W]
-    Vp = [j for j in range(inp.mp) if j not in Wp]
-    gap = inp.mp - inp.m
-    with mpmath.workprec(inp.working):
-        val = mpmath.mpf(1)
-        for i in W:
-            for j in Vp:
-                val *= c[i] - cp[j]
-        for i in V:
-            for j in Wp:
-                val *= c[i] - cp[j]
-        for i in W:
-            for j in V:
-                val /= c[j] - c[i]
-        for i in Vp:
-            for j in Wp:
-                val /= cp[j] - cp[i]
-        for j in Wp:
-            val *= (cp[j] - 1) ** gap
-        for i in W:
-            val /= (c[i] - 1) ** gap
-        return val
-
-
-def dhat_sum(inp: FormFactorInput, variant: str = "plain"):
+def dhat_sum(inp: FormFactorInput):
     """Overlap amplitude D as the coupling-weighted sum over equal-size
     subset pairs.  Exponential in m', so capped; past the cap the
     determinant route is the intended tool."""
@@ -241,23 +205,17 @@ def dhat_sum(inp: FormFactorInput, variant: str = "plain"):
             "subset sum over %d bra roots exceeds the cap of %d; use dhat_det"
             % (inp.mp, SUBSET_SUM_CAP)
         )
-    if variant == "plain":
-        u, up = inp.u, inp.up
-    elif variant == "hatted":
-        u, up = inp.uh, inp.uph
-    else:
-        raise ValueError("variant must be 'plain' or 'hatted'")
     with mpmath.workprec(inp.working):
         total = mpmath.mpf(0)
         for n in range(inp.m + 1):
             for W in itertools.combinations(range(inp.m), n):
                 weight = mpmath.mpf(1)
                 for i in W:
-                    weight *= u[i]
+                    weight *= inp.u[i]
                 for Wp in itertools.combinations(range(inp.mp), n):
-                    term = weight * psi_closed(inp, W, Wp, variant)
+                    term = weight * psi_closed(inp, W, Wp)
                     for j in Wp:
-                        term *= up[j]
+                        term *= inp.up[j]
                     total += term
         return total
 
@@ -368,7 +326,7 @@ def _delta_ratio(lam_ket, lam_bra):
 
 def dhat_closed(inp: FormFactorInput):
     """Overlap amplitude D as a closed product over rapidities, split on
-    the root-count gap (0 or 1)."""
+    the root-count gap (0 or 1, as `couplings` checks)."""
     lam_ket, lam_bra = inp.roots_ket.lam, inp.roots_bra.lam
     with mpmath.workprec(inp.working):
         kpv = mpmath.mpf(inp.kp)
@@ -376,11 +334,9 @@ def dhat_closed(inp: FormFactorInput):
         if inp.mp == inp.m:
             for li, lj in zip(lam_ket, lam_bra):
                 val *= 2 / ((1 + kpv + li) * (1 - kpv + lj))
-        elif inp.mp == inp.m + 1:
+        else:
             for li in lam_ket:
                 val *= 2 / ((1 + li) ** 2 - kpv**2)
-        else:
-            raise ValueError("root-count gap must be 0 or 1")
         return val
 
 
@@ -418,25 +374,28 @@ def overlap_product_closed(inp: FormFactorInput):
         kpv = mpmath.mpf(inp.kp)
         r_low = rapidity_ratio(inp, 1 - kpv)
         r_high = rapidity_ratio(inp, 1 + kpv)
-        if inp.mp == inp.m:
-            val = r_low / r_high
-            for lj in inp.roots_bra.lam:
-                val *= rapidity_ratio(inp, lj)
-            for li in inp.roots_ket.lam:
-                val /= rapidity_ratio(inp, li)
-            return val
-        if inp.mp == inp.m + 1:
-            val = 1 / (r_low * r_high)
-            for lj in inp.roots_bra.lam:
-                val *= rapidity_ratio(inp, lj)
-            for li in inp.roots_ket.lam:
-                val /= rapidity_ratio(inp, li)
-            return val
-        raise ValueError("root-count gap must be 0 or 1")
+        val = r_low / r_high if inp.mp == inp.m else 1 / (r_low * r_high)
+        for lj in inp.roots_bra.lam:
+            val *= rapidity_ratio(inp, lj)
+        for li in inp.roots_ket.lam:
+            val /= rapidity_ratio(inp, li)
+        return val
 
 
 # ---------------------------------------------------------------------------
 # single-excitation overlaps
+
+
+def _excitation_roots(N, L, Q, P, j, ell, precision):
+    """Roots of the bra sector Q and the ket sector P, with the excited
+    root indices j and ell checked against them."""
+    roots_bra = sector_roots(N, L, Q, precision)
+    roots_ket = sector_roots(N, L, P, precision)
+    if not 0 <= j < len(roots_bra):
+        raise ValueError("bra root index out of range")
+    if not 0 <= ell < len(roots_ket):
+        raise ValueError("ket root index out of range")
+    return roots_bra, roots_ket
 
 
 def psi1_closed(N: int, L: int, Q: int, P: int, j: int, ell: int, precision: int = 192):
@@ -444,12 +403,7 @@ def psi1_closed(N: int, L: int, Q: int, P: int, j: int, ell: int, precision: int
     product over both root families, times the transpose factor
     z_ket/z_bra when the bra charge is the larger label.  Carries no
     dependence on k' at all."""
-    roots_bra = sector_roots(N, L, Q, precision)
-    roots_ket = sector_roots(N, L, P, precision)
-    if not 0 <= j < len(roots_bra):
-        raise ValueError("bra root index out of range")
-    if not 0 <= ell < len(roots_ket):
-        raise ValueError("ket root index out of range")
+    roots_bra, roots_ket = _excitation_roots(N, L, Q, P, j, ell, precision)
     with mpmath.workprec(2 * precision):
         zq = roots_bra[j]
         zp = roots_ket[ell]
@@ -474,12 +428,7 @@ def psi1_brute(N: int, L: int, Q: int, P: int, j: int, ell: int, precision: int 
     from .combi import calG_table
 
     table = calG_table(N, L)
-    roots_bra = sector_roots(N, L, Q, precision)
-    roots_ket = sector_roots(N, L, P, precision)
-    if not 0 <= j < len(roots_bra):
-        raise ValueError("bra root index out of range")
-    if not 0 <= ell < len(roots_ket):
-        raise ValueError("ket root index out of range")
+    roots_bra, roots_ket = _excitation_roots(N, L, Q, P, j, ell, precision)
     lam_bra = lambda_block(N, L, Q)
     lam_ket = lambda_block(N, L, P)
     with mpmath.workprec(2 * precision):
@@ -503,7 +452,12 @@ def psi1_brute(N: int, L: int, Q: int, P: int, j: int, ell: int, precision: int 
             for a in range(len(roots_bra))
             for b in range(len(roots_ket))
         )
-        assert abs(S - closed) < scale * mpmath.mpf(2) ** (-precision // 2)
+        if not abs(S - closed) < scale * mpmath.mpf(2) ** (-precision // 2):
+            raise IdentityViolationError(
+                "single-excitation kernel: power sum and two-pole form differ "
+                "by %s at N=%d, L=%d, Q=%d, P=%d, j=%d, ell=%d"
+                % (mpmath.nstr(abs(S - closed), 5), N, L, Q, P, j, ell)
+            )
         beta_bra = -(mpmath.mpf(lam_bra[0]) / (lam_bra[-1] * zq))
         for k, zk in enumerate(roots_bra):
             if k != j:
@@ -513,6 +467,50 @@ def psi1_brute(N: int, L: int, Q: int, P: int, j: int, ell: int, precision: int 
             if k != ell:
                 beta_ket /= zp - zk
         return -beta_bra * beta_ket * zp * S / (lam_bra[0] * lam_ket[0])
+
+
+# ---------------------------------------------------------------------------
+# route dispatch
+
+
+class RouteRun(NamedTuple):
+    """D of one sector pair by each route run, in the order of preference
+    closed, det, sum; the kernel residual if det ran; |a - b| for each
+    route pair under "a_vs_b"; and (a, b, |a - b|) above ROUTE_TOL."""
+
+    values: dict
+    orthogonality: mpmath.mpf | None
+    differences: dict
+    failures: tuple
+
+    @property
+    def preferred(self):
+        return next(iter(self.values.values()))
+
+
+def dhat_routes(inp: FormFactorInput, method: str) -> RouteRun:
+    """Run the route `method` names, or all three, on one sector pair and
+    compare them pairwise; the differences only need to resolve ROUTE_TOL
+    and are taken at the caller's precision."""
+    if method not in METHODS:
+        raise ValueError("method must be sum, det, closed or all")
+    values = {}
+    orthogonality = None
+    with mpmath.workprec(inp.working):
+        if method in ("closed", "all"):
+            values["closed"] = dhat_closed(inp)
+        if method in ("det", "all"):
+            values["det"], orthogonality = dhat_det(inp)
+        if method in ("sum", "all"):
+            values["sum"] = dhat_sum(inp)
+    differences = {}
+    failures = []
+    for a, b in itertools.combinations(values, 2):
+        diff = abs(values[a] - values[b])
+        differences[f"{a}_vs_{b}"] = diff
+        if diff > ROUTE_TOL:
+            failures.append((a, b, diff))
+    return RouteRun(values, orthogonality, differences, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +526,13 @@ def order_param_sq(
     (1 - k'^2)^(r(N-r)/N^2), and R-ratio diagnostics per sector."""
     if not 1 <= r < N:
         raise ValueError("charge r must satisfy 1 <= r < N")
-    if method not in ("sum", "det", "closed", "all"):
-        raise ValueError("method must be sum, det, closed or all")
     kp_str = str(kp)
     per_sector = []
     values = []
     for Q in range(N):
         P = (Q - r) % N
         inp = couplings(N, L, Q=Q, P=P, kp=kp_str, precision=precision)
+        run = dhat_routes(inp, method)
         with mpmath.workprec(inp.working):
             entry = {
                 "Q": Q,
@@ -545,18 +542,12 @@ def order_param_sq(
                 "swapped": inp.swapped,
                 "cc_product": inp.cc_product,
             }
-            routes = {}
-            if method in ("closed", "all"):
-                routes["closed"] = dhat_closed(inp)
-            if method in ("det", "all"):
-                dval, resid = dhat_det(inp)
-                routes["det"] = dval
-                entry["orthogonality_residual"] = resid
-            if method in ("sum", "all"):
-                routes["sum"] = dhat_sum(inp)
-            d = routes.get("closed", routes.get("det", routes.get("sum")))
+            if run.orthogonality is not None:
+                entry["orthogonality_residual"] = run.orthogonality
+            d = run.preferred
             entry["dhat"] = d
-            entry["routes"] = routes
+            entry["routes"] = run.values
+            entry["route_failures"] = run.failures
             value = inp.cc_product * d**2
             entry["value"] = value
             entry["r_low"] = rapidity_ratio(inp, 1 - mpmath.mpf(kp_str))

@@ -26,6 +26,7 @@ from .errors import (
     CurveMismatchError,
     DegenerateMaxEigenvalueError,
     EigenbasisMismatchError,
+    IdentityViolationError,
     OrthogonalityViolationError,
     SizeGuardError,
 )
@@ -240,6 +241,12 @@ def edge_dim(N: int, L: int) -> int:
     return dim
 
 
+def digit_rows(N: int, width: int) -> np.ndarray:
+    """All N^width rows of `width` base-N digits, row i holding the digits
+    of i least significant first: the encoding of spin rows and edge digits."""
+    return (np.arange(N**width)[:, None] // N ** np.arange(width)) % N
+
+
 def edge_configs(N: int, L: int) -> np.ndarray:
     """All edge configurations as a (N^(L-1), L) int array.
 
@@ -248,19 +255,27 @@ def edge_configs(N: int, L: int) -> np.ndarray:
     modulo N.
     """
     dim = edge_dim(N, L)
-    idx = np.arange(dim)
     configs = np.empty((dim, L), dtype=np.int64)
-    for j in range(L - 1):
-        configs[:, j] = (idx // N**j) % N
+    configs[:, : L - 1] = digit_rows(N, L - 1)
     configs[:, L - 1] = (-configs[:, : L - 1].sum(axis=1)) % N
     return configs
 
 
-def edge_index(N: int, config: np.ndarray) -> int:
-    """Flat index of one configuration (inverse of `edge_configs` rows)."""
-    L = len(config)
-    powers = N ** np.arange(L - 1)
-    return int(np.dot(np.asarray(config[: L - 1]) % N, powers))
+def edge_index(N: int, config: np.ndarray) -> int | np.ndarray:
+    """Flat index of one configuration (inverse of `edge_configs` rows), or
+    the indices of a stack of configurations along the last axis."""
+    config = np.asarray(config)
+    L = config.shape[-1]
+    flat = (config[..., : L - 1] % N) @ N ** np.arange(L - 1)
+    return int(flat) if np.ndim(flat) == 0 else flat
+
+
+def _edge_classes(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per spin row of `digit_rows(N, L)`, the flat index of its edge
+    configuration (adjacent spin differences) and its leading spin."""
+    spins = digit_rows(N, L)
+    edges = (spins - np.roll(spins, -1, axis=1)) % N
+    return edge_index(N, edges), spins[:, 0]
 
 
 def _prefix_sums(configs: np.ndarray, N: int) -> np.ndarray:
@@ -336,19 +351,16 @@ def _transfer_layers(q: RapidityPoint, L: int) -> tuple[np.ndarray, np.ndarray]:
 def spin_transfer(q: RapidityPoint, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Full spin-basis transfer matrices T and That, each N^L by N^L.
 
-    Row/column indices run over spin rows encoded base N (site 1 least
-    significant).  Intended for small-size cross-checks; the production
-    route is the sector construction.
+    Row/column indices run over spin rows encoded by `digit_rows` (site 1
+    least significant).  Intended for small-size cross-checks; the
+    production route is the sector construction.
     """
     N = q.N
     if N**L > 2187:
         raise SizeGuardError(f"spin basis dimension {N**L} too large for checks")
     p = superintegrable_point(N, q.kp)
     w, wbar = boltzmann_weights(p, q)
-    spins = np.empty((N**L, L), dtype=np.int64)
-    idx = np.arange(N**L)
-    for j in range(L):
-        spins[:, j] = (idx // N**j) % N
+    spins = digit_rows(N, L)
     t = np.empty((N**L, N**L), dtype=complex)
     t_hat = np.empty((N**L, N**L), dtype=complex)
     for row in range(N**L):
@@ -357,9 +369,8 @@ def spin_transfer(q: RapidityPoint, L: int) -> tuple[np.ndarray, np.ndarray]:
         diff_up = (np.roll(spins, -1, axis=1) - sig_bra) % N
         t[row, :] = (w[diff] * wbar[diff_up]).prod(axis=1)
         # bra row of That is the lower spin row sigma''.
-        diff_hat = (spins - sig_bra) % N
-        diff_hat_right = (spins - np.roll(sig_bra, -1)) % N
-        t_hat[row, :] = (wbar[diff_hat] * w[diff_hat_right]).prod(axis=1)
+        diff_right = (spins - np.roll(sig_bra, -1)) % N
+        t_hat[row, :] = (wbar[diff] * w[diff_right]).prod(axis=1)
     return t, t_hat
 
 
@@ -367,16 +378,7 @@ def _sector_of_spin_product(
     product: np.ndarray, N: int, L: int, Q: int
 ) -> np.ndarray:
     """Extract charge block Q from a spin-basis row-operator product."""
-    dim_spin = N**L
-    spins = np.empty((dim_spin, L), dtype=np.int64)
-    idx = np.arange(dim_spin)
-    for j in range(L):
-        spins[:, j] = (idx // N**j) % N
-    edges = (spins - np.roll(spins, -1, axis=1)) % N
-    flat = np.zeros(dim_spin, dtype=np.int64)
-    for j in range(L - 1):
-        flat += edges[:, j] * N**j
-    lead = spins[:, 0]
+    flat, lead = _edge_classes(N, L)
     dim = N ** (L - 1)
     omega = np.exp(2j * np.pi / N)
     block = np.zeros((dim, dim), dtype=complex)
@@ -441,22 +443,13 @@ def spin_block_roundtrip_residual(N: int, L: int, q: RapidityPoint) -> float:
     largest entry of T.
     """
     t_spin, _ = spin_transfer(q, L)
-    dim_spin = N**L
-    spins = np.empty((dim_spin, L), dtype=np.int64)
-    idx = np.arange(dim_spin)
-    for j in range(L):
-        spins[:, j] = (idx // N**j) % N
-    edges = (spins - np.roll(spins, -1, axis=1)) % N
-    flat = np.zeros(dim_spin, dtype=np.int64)
-    for j in range(L - 1):
-        flat += edges[:, j] * N**j
-    lead = spins[:, 0]
+    flat, lead = _edge_classes(N, L)
     omega = np.exp(2j * np.pi / N)
     blocks = [
         build_sector_transfer(N, L, Q, q, q.kp)[0].mat for Q in range(N)
     ]
     rebuilt = np.zeros_like(t_spin)
-    for row in range(dim_spin):
+    for row in range(N**L):
         m = (lead - lead[row]) % N
         for Q in range(N):
             rebuilt[row] += omega ** (m * Q) * blocks[Q][flat[row], flat] / N
@@ -503,20 +496,26 @@ def build_hamiltonian(N: int, L: int, Q: int, kp: float) -> SectorMatrix:
             coeff_clock[n] * omega ** (n * residue) for n in range(1, N)
         )
     ham[np.arange(dim), np.arange(dim)] = -clock[configs].sum(axis=1)
-    # spin-shift part: moves one unit of charge between adjacent edges
-    powers = N ** np.arange(L - 1)
-    for i in range(dim):
-        base = configs[i]
-        for n in range(1, N):
-            for j in range(L):
-                moved = base.copy()
-                moved[j] = (moved[j] + n) % N
-                moved[(j - 1) % L] = (moved[(j - 1) % L] - n) % N
-                target = int(np.dot(moved[: L - 1], powers))
-                phase = omega ** ((Q * n) % N) if j == 0 else 1.0
-                ham[target, i] += -kp * coeff_shift[n] * phase
+    # spin-shift part: moves n units of charge from edge j-1 to edge j.
+    # np.add.at sums repeated targets in the order (column, n, j).
+    steps = [(n, j) for n in range(1, N) for j in range(L)]
+    targets = np.empty((dim, len(steps)), dtype=np.int64)
+    values = np.empty(len(steps), dtype=complex)
+    for k, (n, j) in enumerate(steps):
+        moved = configs.copy()
+        moved[:, j] = (moved[:, j] + n) % N
+        moved[:, (j - 1) % L] = (moved[:, (j - 1) % L] - n) % N
+        targets[:, k] = edge_index(N, moved)
+        phase = omega ** ((Q * n) % N) if j == 0 else 1.0
+        values[k] = -kp * coeff_shift[n] * phase
+    columns = np.repeat(np.arange(dim), len(steps))
+    np.add.at(ham, (targets.ravel(), columns), np.tile(values, dim))
     hermiticity = np.max(np.abs(ham - ham.conj().T))
-    assert hermiticity <= 1e-12 * max(1.0, np.max(np.abs(ham))), hermiticity
+    if not hermiticity <= 1e-12 * max(1.0, np.max(np.abs(ham))):
+        raise IdentityViolationError(
+            f"Hamiltonian block deviates from its adjoint by {hermiticity:.3e} "
+            f"in sector Q={Q} (N={N}, L={L})"
+        )
     return SectorMatrix(N=N, L=L, Q=Q, kp=kp, mat=ham)
 
 

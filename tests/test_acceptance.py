@@ -12,14 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from chiralpotts.combi import (
-    EdgeConfig,
-    compositions,
-    gen_function_pair,
-    ibi_check,
-    identity_check,
-    uqp_check,
-)
+from chiralpotts.combi import appendix_suite, identity_check
 from chiralpotts.drinfeld import (
     drinfeld_projection,
     lambda_counts,
@@ -28,9 +21,8 @@ from chiralpotts.drinfeld import (
 from chiralpotts.formfactor import (
     _kernel_matrix,
     couplings,
-    dhat_closed,
     dhat_det,
-    dhat_sum,
+    dhat_routes,
     kernel_orthogonality_residual,
     order_param_sq,
     overlap_product_closed,
@@ -75,28 +67,11 @@ def test_2_generating_function_suite_exact():
     genfun = recursion = alternating = 0
     for N in (2, 3):
         for L in range(2, 6):
-            for digits in compositions(N, L, N - 1):
-                definition, closed = gen_function_pair(EdgeConfig(N, L, digits))
-                assert definition == closed, (N, L, digits)
-                genfun += 1
-            report = uqp_check(N, L)
+            report = appendix_suite(N, L, samples=40)
             assert report["ok"], (N, L, report["failures"])
-            recursion += report["checked"]
-            configs = [
-                digits
-                for total in range(N * (L - 1) + 1)
-                for digits in compositions(total, L, N - 1)
-            ]
-            upper = [d for d in configs if sum(d) >= N]
-            if len(upper) * len(configs) <= 4096:
-                pairs = [(mu, lam) for mu in upper for lam in configs]
-            else:
-                rng = random.Random(0x5EED)
-                pairs = [(rng.choice(upper), rng.choice(configs))
-                         for _ in range(40)]
-            for mu, lam in pairs:
-                assert ibi_check(N, L, mu, lam)["ok"], (N, L, mu, lam)
-                alternating += 1
+            genfun += report["genfun_checked"]
+            recursion += report["recursion_checked"]
+            alternating += report["alternating_sum_checked"]
     _verdict(
         "2 generating functions",
         True,
@@ -153,11 +128,11 @@ def test_4_three_route_amplitude_agreement():
             for Q, P in _ordered_pairs(3):
                 inp = couplings(3, L, Q=Q, P=P, kp=kp, precision=192)
                 with mpmath.workprec(inp.working):
-                    closed = dhat_closed(inp)
-                    det, _ = dhat_det(inp)
-                    subset = dhat_sum(inp)
-                    for a, b in ((closed, det), (closed, subset), (det, subset)):
-                        assert abs(a - b) < route_tol, (L, kp, Q, P)
+                    run = dhat_routes(inp, "all")
+                    assert len(run.differences) == 3, (L, kp, Q, P)
+                    for diff in run.differences.values():
+                        assert diff < route_tol, (L, kp, Q, P)
+                    det = run.values["det"]
                     routes_checked += 1
                     det_flipped, _ = dhat_det(inp, eps=-1)
                     assert abs(det - det_flipped) < flip_tol, (L, kp, Q, P)

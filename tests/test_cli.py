@@ -4,8 +4,10 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from chiralpotts import cli
+from chiralpotts import cli, formfactor
 
 
 @pytest.fixture
@@ -188,6 +190,69 @@ def test_verification_failure_exits_four(runner, monkeypatch):
     ])
     assert result.exit_code == 4
     assert "FAIL" in result.output
+
+
+@pytest.mark.parametrize("command, width", [
+    ("order", ["--L", "4"]),
+    ("sweep", ["--L", "3", "--L", "4", "--format", "json"]),
+])
+def test_route_disagreement_exits_four(runner, monkeypatch, command, width):
+    # at tolerance 0 every nonzero route difference is a disagreement
+    monkeypatch.setattr(formfactor, "ROUTE_TOL", 0.0)
+    result = runner.invoke(cli.main, [
+        command, "--N", "3", "--r", "1", "--kp", "0.5", "--prec", "128",
+        "--method", "all", *width,
+    ])
+    assert result.exit_code == 4
+    fails = [line for line in result.stderr.splitlines() if line.startswith("FAIL")]
+    pairs = ("'closed', 'det'", "'closed', 'sum'", "'det', 'sum'")
+    assert fails and all(any(pair in line for pair in pairs) for line in fails)
+
+
+# Valid argument vectors over small sizes, half of them with one value
+# replaced by a malformed or out-of-range one.
+_BAD = st.sampled_from(["-1", "0", "1", "1.5", "nan", "x", ""])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["identity", "appendix", "drinfeld", "formfactor", "order", "sweep"]
+    ))
+    # appendix at N=4, L=4 alone takes about 10 s
+    n = draw(st.integers(2, 3 if command == "appendix" else 4))
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True))
+    if command != "sweep":
+        widths = widths[:1]
+    options = [("--N", n)] + [("--L", width) for width in sorted(widths)]
+    if command in ("drinfeld", "formfactor"):
+        options.append(("--Q", draw(st.integers(0, n - 1))))
+    if command == "formfactor":
+        options.append(("--P", draw(st.integers(0, n - 1))))
+    if command in ("order", "sweep"):
+        options.append(("--r", draw(st.integers(1, n - 1))))
+    if command in ("drinfeld", "formfactor", "order", "sweep"):
+        options.append(("--kp", draw(st.sampled_from(["0.2", "0.5", "0.8"]))))
+        options.append(("--prec", draw(st.sampled_from([128, 192]))))
+    if command in ("formfactor", "order", "sweep"):
+        options.append(("--method", draw(st.sampled_from(formfactor.METHODS))))
+    if command == "appendix":
+        options.append(("--samples", draw(st.integers(1, 5))))
+    options.append(("--format", draw(st.sampled_from(["json", "csv"]))))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(options) - 1))
+        options[k] = (options[k][0], draw(_BAD))
+    return [command] + [str(item) for option in options for item in option]
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_any_argument_vector_exits_by_contract(runner, argv):
+    result = runner.invoke(cli.main, argv)
+    assert result.exit_code in (0, 2, 3, 4), (argv, result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), argv
+    assert "Traceback" not in result.output
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,5 @@
 """Sector counting polynomials, certified roots, and root transforms."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -72,24 +67,8 @@ def test_counting_invariants_raise_typed_errors(monkeypatch):
         drinfeld_projection(3, 4, 0)
 
 
-def test_counting_invariants_survive_optimize_flag():
-    # the same checks must still fire when python -O strips asserts
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-    )
-    test_id = f"{Path(__file__).name}::test_counting_invariants_raise_typed_errors"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", test_id],
-        cwd=Path(__file__).resolve().parent,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "1 passed" in proc.stdout
+def test_counting_invariants_survive_optimize_flag(run_optimized):
+    run_optimized("test_drinfeld.py::test_counting_invariants_raise_typed_errors")
 
 
 def test_projection_two_state_hand_value():

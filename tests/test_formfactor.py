@@ -1,14 +1,19 @@
 """Form-factor routes: subset sum, determinant, closed products."""
 
+import dataclasses
+import itertools
+
 import mpmath
 import pytest
 
 from chiralpotts.drinfeld import lambda_counts
-from chiralpotts.errors import SizeGuardError
+from chiralpotts import combi, formfactor
+from chiralpotts.errors import DomainError, IdentityViolationError, SizeGuardError
 from chiralpotts.formfactor import (
     couplings,
     dhat_closed,
     dhat_det,
+    dhat_routes,
     dhat_sum,
     kernel_orthogonality_residual,
     order_param_sq,
@@ -16,7 +21,6 @@ from chiralpotts.formfactor import (
     psi1_brute,
     psi1_closed,
     psi_closed,
-    psi_closed_angular,
     rapidity_ratio,
     rapidity_ratio_limit,
 )
@@ -34,9 +38,22 @@ def test_couplings_normalization_and_ranges():
     assert (inp.Q, inp.P) == (1, 2)
     assert inp.mp - inp.m in (0, 1)
     assert all(0 < u < 1 for u in inp.u)
-    assert all(0 < u < 1 for u in inp.uph)
     assert all(u > 0 for u in inp.up)
-    assert all(u > 0 for u in inp.uh)
+
+
+def test_coupling_relation_violation_raises_domain_error(monkeypatch):
+    # rapidities off their roots by 2^-60 relative break b = -z a far above 2^-192
+    exact = formfactor.root_transforms
+
+    def shifted(poly, kp, precision):
+        data = exact(poly, kp, precision)
+        with mpmath.workprec(2 * precision):
+            lam = tuple(v * (1 + mpmath.mpf(2) ** -60) for v in data.lam)
+        return dataclasses.replace(data, lam=lam)
+
+    monkeypatch.setattr(formfactor, "root_transforms", shifted)
+    with pytest.raises(DomainError):
+        couplings(3, 5, Q=0, P=1, kp="0.5")
 
 
 def test_couplings_rejects_equal_charges():
@@ -70,13 +87,38 @@ def test_psi_closed_validation():
         psi_closed(inp, (0, 0), (0, 1))
     with pytest.raises(ValueError):
         psi_closed(inp, (inp.m,), (0,))
-    with pytest.raises(ValueError):
-        psi_closed(inp, (0,), (0,), variant="bogus")
+
+
+def _psi_closed_angular(inp, W, Wp):
+    """The overlap of `psi_closed` through the cosine variables
+    c = -(1+z)/(1-z): the cross ratios of c differences times the
+    correction prod_bra (c'-1)^(m'-m) / prod_ket (c-1)^(m'-m), an
+    independently derived form of the z-variable product."""
+    c, cp = inp.roots_ket.c, inp.roots_bra.c
+    V = [i for i in range(inp.m) if i not in W]
+    Vp = [j for j in range(inp.mp) if j not in Wp]
+    gap = inp.mp - inp.m
+    val = mpmath.mpf(1)
+    for i in W:
+        for j in Vp:
+            val *= c[i] - cp[j]
+    for i in V:
+        for j in Wp:
+            val *= c[i] - cp[j]
+    for i in W:
+        for j in V:
+            val /= c[j] - c[i]
+    for i in Vp:
+        for j in Wp:
+            val /= cp[j] - cp[i]
+    for j in Wp:
+        val *= (cp[j] - 1) ** gap
+    for i in W:
+        val /= (c[i] - 1) ** gap
+    return val
 
 
 def test_psi_closed_angular_route_agrees():
-    import itertools
-
     for Q, P in ((0, 1), (0, 2), (1, 2)):
         inp = couplings(3, 6, Q=Q, P=P, kp="0.5")
         with mpmath.workprec(inp.working):
@@ -84,8 +126,30 @@ def test_psi_closed_angular_route_agrees():
                 for W in itertools.combinations(range(inp.m), n):
                     for Wp in itertools.combinations(range(inp.mp), n):
                         a = psi_closed(inp, W, Wp)
-                        b = psi_closed_angular(inp, W, Wp)
+                        b = _psi_closed_angular(inp, W, Wp)
                         assert abs(a - b) < mpmath.mpf(10) ** -40
+
+
+def _dhat_sum_hatted(inp):
+    """D as the subset sum over the hatted couplings, built from the
+    rapidities: -(lam-1-k')/(lam+1-k') per ket root and
+    (lam-1+k')/(lam+1+k') per bra root, with each subset term carrying
+    the extra factor prod_W 1/z times prod_Wp z'."""
+    kp = mpmath.mpf(inp.kp)
+    uh = [-(lam - 1 - kp) / (lam + 1 - kp) for lam in inp.roots_ket.lam]
+    uph = [(lam - 1 + kp) / (lam + 1 + kp) for lam in inp.roots_bra.lam]
+    z, zp = inp.roots_ket.z, inp.roots_bra.z
+    total = mpmath.mpf(0)
+    for n in range(inp.m + 1):
+        for W in itertools.combinations(range(inp.m), n):
+            for Wp in itertools.combinations(range(inp.mp), n):
+                term = psi_closed(inp, W, Wp)
+                for i in W:
+                    term *= uh[i] / z[i]
+                for j in Wp:
+                    term *= uph[j] * zp[j]
+                total += term
+    return total
 
 
 def test_dhat_routes_agree_small():
@@ -94,14 +158,13 @@ def test_dhat_routes_agree_small():
             for Q, P in _pairs(3, rs=(1, 2)):
                 inp = couplings(3, L, Q=Q, P=P, kp=kp)
                 with mpmath.workprec(inp.working):
-                    s = dhat_sum(inp)
-                    d, resid = dhat_det(inp)
-                    c = dhat_closed(inp)
-                    h = dhat_sum(inp, variant="hatted")
-                    assert abs(s - c) < mpmath.mpf(10) ** -40
-                    assert abs(d - c) < mpmath.mpf(10) ** -40
-                    assert abs(h - c) < mpmath.mpf(10) ** -40
-                    assert resid < mpmath.mpf(10) ** -40
+                    run = dhat_routes(inp, "all")
+                    assert len(run.differences) == 3 and not run.failures
+                    for diff in run.differences.values():
+                        assert diff < mpmath.mpf(10) ** -40
+                    h = _dhat_sum_hatted(inp)
+                    assert abs(h - run.values["closed"]) < mpmath.mpf(10) ** -40
+                    assert run.orthogonality < mpmath.mpf(10) ** -40
 
 
 def test_dhat_det_sign_choices_cancel():
@@ -169,6 +232,22 @@ def test_psi1_precision_insensitive():
     a = psi1_brute(3, 5, 0, 2, 1, 0, precision=128)
     b = psi1_brute(3, 5, 0, 2, 1, 0, precision=256)
     assert abs(a - b) < mpmath.mpf(10) ** -35
+
+
+def test_psi1_kernel_mismatch_raises_typed_error(monkeypatch):
+    # one unit added to the (a, b) = (0, 0) table entry moves the power sum
+    # by exactly 1 while the two-pole form stays put
+    table = combi.calG_table(3, 4)
+    entries = [list(row) for row in table.entries]
+    entries[0][1] += 1
+    broken = dataclasses.replace(table, entries=tuple(map(tuple, entries)))
+    monkeypatch.setattr(combi, "calG_table", lambda N, L: broken)
+    with pytest.raises(IdentityViolationError):
+        psi1_brute(3, 4, 0, 1, 0, 0)
+
+
+def test_psi1_kernel_check_survives_optimize_flag(run_optimized):
+    run_optimized("test_formfactor.py::test_psi1_kernel_mismatch_raises_typed_error")
 
 
 def test_psi1_index_validation():

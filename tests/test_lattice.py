@@ -9,10 +9,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiralpotts import lattice
 from chiralpotts.errors import (
     CurveMismatchError,
     DegenerateMaxEigenvalueError,
     EigenbasisMismatchError,
+    IdentityViolationError,
     SizeGuardError,
 )
 from chiralpotts.formfactor import couplings, overlap_product_closed
@@ -21,6 +23,7 @@ from chiralpotts.lattice import (
     build_hamiltonian,
     build_sector_transfer,
     diagnostics,
+    digit_rows,
     edge_configs,
     edge_dim,
     edge_index,
@@ -212,13 +215,9 @@ def test_fourier_round_trip():
 
 def _spin_shift(N, L):
     dim = N**L
-    idx = np.arange(dim)
-    shifted = np.zeros(dim, dtype=np.int64)
-    for j in range(L):
-        digit = (idx // N**j) % N
-        shifted += ((digit + 1) % N) * N**j
+    shifted = ((digit_rows(N, L) + 1) % N) @ N ** np.arange(L)
     op = np.zeros((dim, dim))
-    op[shifted, idx] = 1.0
+    op[shifted, np.arange(dim)] = 1.0
     return op
 
 
@@ -231,13 +230,9 @@ def test_spin_shift_and_translation_commutation():
     assert relative_commutator(t_hat, shift) < 1e-12
     # translation: cyclically relabel the sites
     dim = N**L
-    idx = np.arange(dim)
-    rotated = np.zeros(dim, dtype=np.int64)
-    for j in range(L):
-        digit = (idx // N**j) % N
-        rotated += digit * N ** ((j + 1) % L)
+    rotated = digit_rows(N, L) @ N ** ((np.arange(L) + 1) % L)
     trans = np.zeros((dim, dim))
-    trans[rotated, idx] = 1.0
+    trans[rotated, np.arange(dim)] = 1.0
     assert relative_commutator(t, trans) < 1e-12
 
 
@@ -324,6 +319,20 @@ def test_hamiltonian_hermitian_and_commutes_with_transfer():
             assert np.max(np.abs(ham.mat - ham.mat.conj().T)) < 1e-12
             t_block, _ = build_sector_transfer(N, L, Q, q, kp)
             assert relative_commutator(t_block.mat, ham.mat) < 1e-10
+
+
+def test_non_hermitian_hamiltonian_raises_typed_error(monkeypatch):
+    # every shifted configuration lands on the first row, so the block
+    # stops being its own adjoint
+    monkeypatch.setattr(
+        lattice, "edge_index", lambda N, config: np.zeros(len(config), dtype=np.int64)
+    )
+    with pytest.raises(IdentityViolationError):
+        build_hamiltonian(3, 3, 0, 0.5)
+
+
+def test_hermiticity_check_survives_optimize_flag(run_optimized):
+    run_optimized("test_lattice.py::test_non_hermitian_hamiltonian_raises_typed_error")
 
 
 # ---------------------------------------------------------------------------
