@@ -369,6 +369,10 @@ def _order_run(n, offset, kp, width, prec, method) -> tuple[dict, list[tuple]]:
 def _order_payload(result: dict, prec: int) -> dict:
     per_sector = []
     for entry in result["per_sector"]:
+        with mpmath.workprec(2 * prec):
+            route_residuals = {
+                f"route_{k}": abs(v - entry["dhat"]) for k, v in entry["routes"].items()
+            }
         row = {
             "Q": entry["Q"],
             "P": entry["P"],
@@ -378,8 +382,7 @@ def _order_payload(result: dict, prec: int) -> dict:
             "cc_product": _num(entry["cc_product"], prec),
             "dhat": _rec(
                 entry["dhat"], prec,
-                **{f"route_{k}": abs(v - entry["dhat"])
-                   for k, v in entry["routes"].items()},
+                **route_residuals,
                 **({"orthogonality": entry["orthogonality_residual"]}
                    if "orthogonality_residual" in entry else {}),
             ),
@@ -419,6 +422,8 @@ def oracle(n, width, kp, charge, charge_p, prec, out, fmt):
     _check_sector("P", charge_p, n)
     if (charge is None) != (charge_p is None):
         raise click.UsageError("--Q and --P must be given together")
+    if charge is not None and charge == charge_p:
+        raise click.UsageError("--Q and --P must name distinct sectors")
     config = RunConfig(
         command="oracle", N=n, L=width, Q=charge, P=charge_p, kp=kp,
         prec=prec, out=out, format=fmt,
@@ -433,8 +438,6 @@ def oracle(n, width, kp, charge, charge_p, prec, out, fmt):
     if charge is None:
         pairs = [(q, p) for q in range(n) for p in range(n) if p != q]
     else:
-        if charge == charge_p:
-            raise click.UsageError("--Q and --P must name distinct sectors")
         pairs = [(charge, charge_p)]
     rows = []
     failures = []

@@ -220,8 +220,9 @@ class GTable:
         return 0
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def calG_table(N: int, L: int) -> GTable:
-    """Build the full overlap table by exact enumeration.
+    """Build the full overlap table by exact enumeration, once per (N, L).
 
     Checks integrality of every entry (each is a rational integer even
     though the summands are cyclotomic), the number of configurations
@@ -345,6 +346,88 @@ def exchange_sum_dual(n: int, lam: tuple[int, ...], mu: tuple[int, ...], N: int)
     return total
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _omega_binomials(N: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """[a choose b] at omega for 0 <= b <= a < N, as integer vectors in
+    Z[y]/(y^N - 1) with y = omega: the q-Pascal recursion with q = y."""
+    rows = [((1,) + (0,) * (N - 1),)]
+    for a in range(1, N):
+        prev = rows[-1]
+        row = [rows[0][0]]
+        for b in range(1, a):
+            # [a, b] = [a-1, b-1] + y^b [a-1, b]
+            row.append(tuple(prev[b - 1][t] + prev[b][(t - b) % N] for t in range(N)))
+        row.append(rows[0][0])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def exchange_table(N: int, L: int, n: int) -> tuple[tuple[CycNum, ...], ...]:
+    """table[M][T]: `exchange_sum(n, mu, lam, N)` summed over every
+    configuration pair with sum(mu) = M and sum(lam) = T, for all M and T
+    in [0, (N-1)L] at once.
+
+    Writing lam_suffix_i = T - lam_prefix_i - lam_i, site i contributes
+    omega^(n_i (mu_prefix_i - n_prefix_i - lam_prefix_i - lam_i)) and the
+    factor omega^(nT) leaves the sum, so a left-to-right transfer over
+    the states (mu prefix, lam prefix, n prefix) yields every total pair.
+    The states hold integer vectors in Z[y]/(y^N - 1), y = omega, where a
+    phase is an index rotation; each entry maps to Z[zeta] (y -> zeta^2,
+    a ring homomorphism) once, at the end."""
+    if not 0 <= n <= N:
+        raise ValueError("kernel order must lie in [0, N]")
+    binom = _omega_binomials(N)
+    # [n_i + lam_i choose n_i] omega^(-n_i lam_i), zero once n_i + lam_i >= N
+    lam_weight = [
+        [_rotate(binom[ni + li][ni], -ni * li) for li in range(N - ni)] for ni in range(N)
+    ]
+    states: dict[tuple[int, int, int], list[int]] = {(0, 0, 0): [1] + [0] * (N - 1)}
+    for _ in range(L):
+        new: dict[tuple[int, int, int], list[int]] = {}
+        for (mp, lp, np_), vec in states.items():
+            for ni in range(min(N - 1, n - np_) + 1):
+                shifted = _rotate(vec, ni * (mp - np_ - lp))
+                for mi in range(ni, N):
+                    by_mu = _cyclic_mul(shifted, binom[mi][ni]) if ni else shifted
+                    for li in range(N - ni):
+                        term = _cyclic_mul(by_mu, lam_weight[ni][li]) if ni else by_mu
+                        key = (mp + mi, lp + li, np_ + ni)
+                        acc = new.get(key)
+                        if acc is None:
+                            new[key] = list(term)
+                        else:
+                            for t in range(N):
+                                acc[t] += term[t]
+        states = new
+    order = 2 * N
+    top = (N - 1) * L
+    table = [[CycNum.zero(order)] * (top + 1) for _ in range(top + 1)]
+    for (mp, lp, np_), vec in states.items():
+        if np_ == n:
+            vec = _rotate(vec, n * lp)
+            table[mp][lp] = CycNum(order, [c for v in vec for c in (v, 0)])
+    return tuple(map(tuple, table))
+
+
+def _rotate(vec, e: int) -> tuple[int, ...]:
+    """vec times y^e in Z[y]/(y^len(vec) - 1)."""
+    e %= len(vec)
+    return tuple(vec[-e:] + vec[:-e]) if e else tuple(vec)
+
+
+def _cyclic_mul(a, b) -> list[int]:
+    """Product in Z[y]/(y^N - 1), N = len(a) = len(b)."""
+    N = len(a)
+    out = [0] * N
+    for k, c in enumerate(b):
+        if c:
+            for t, v in enumerate(a):
+                if v:
+                    out[(t + k) % N] += c * v
+    return out
+
+
 def _alternating_exchange_poly(
     mu: tuple[int, ...], lam: tuple[int, ...], N: int, dual: bool
 ) -> CycPoly:
@@ -413,18 +496,13 @@ def identity_check(N: int, L: int) -> dict:
     }
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _configs_with_total(N: int, L: int, total: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(compositions(total, L, N - 1))
-
-
 def _correction_from_exchange(
     N: int, L: int, Q: int, P: int, ell: int, j: int
 ) -> CycNum:
     """The correction term of the table recursion, evaluated from the
     exchange kernels: sum_{k=0}^{Q} [N-P+Q choose Q-k] omega^(k^2 - kP)
     times the exchange sum of order P - k over all configuration pairs
-    with totals (l+1)N + Q + P - k and jN + k."""
+    with totals (l+1)N + Q + P - k and jN + k (`exchange_table`)."""
     order = 2 * N
     total = CycNum.zero(order)
     for k in range(Q + 1):
@@ -434,16 +512,7 @@ def _correction_from_exchange(
             continue
         if not 0 <= lam_total <= (N - 1) * L:
             continue
-        mus = _configs_with_total(N, L, mu_total)
-        lams = _configs_with_total(N, L, lam_total)
-        inner = CycNum.zero(order)
-        if P - k == 0:
-            # the order-0 exchange sum is 1 for every configuration pair
-            inner = CycNum.integer(len(mus) * len(lams), order)
-        else:
-            for mu in mus:
-                for lam in lams:
-                    inner = inner + exchange_sum(P - k, mu, lam, N)
+        inner = exchange_table(N, L, P - k)[mu_total][lam_total]
         prefactor = gauss_binom(N - P + Q, Q - k, N) * CycNum.omega_pow(
             k * k - k * P, order
         )

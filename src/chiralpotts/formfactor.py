@@ -490,8 +490,7 @@ class RouteRun(NamedTuple):
 
 def dhat_routes(inp: FormFactorInput, method: str) -> RouteRun:
     """Run the route `method` names, or all three, on one sector pair and
-    compare them pairwise; the differences only need to resolve ROUTE_TOL
-    and are taken at the caller's precision."""
+    compare them pairwise at the working precision of `inp`."""
     if method not in METHODS:
         raise ValueError("method must be sum, det, closed or all")
     values = {}
@@ -503,13 +502,13 @@ def dhat_routes(inp: FormFactorInput, method: str) -> RouteRun:
             values["det"], orthogonality = dhat_det(inp)
         if method in ("sum", "all"):
             values["sum"] = dhat_sum(inp)
-    differences = {}
-    failures = []
-    for a, b in itertools.combinations(values, 2):
-        diff = abs(values[a] - values[b])
-        differences[f"{a}_vs_{b}"] = diff
-        if diff > ROUTE_TOL:
-            failures.append((a, b, diff))
+        differences = {}
+        failures = []
+        for a, b in itertools.combinations(values, 2):
+            diff = abs(values[a] - values[b])
+            differences[f"{a}_vs_{b}"] = diff
+            if diff > ROUTE_TOL:
+                failures.append((a, b, diff))
     return RouteRun(values, orthogonality, differences, tuple(failures))
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
@@ -171,6 +172,45 @@ def test_empty_alternating_sum_sample_exits_two(runner):
         "appendix", "--N", "3", "--L", "5", "--samples", "0",
     ])
     _assert_usage_error(result, "--samples")
+
+
+def test_oracle_equal_sectors_exit_before_the_lattice_run(runner, monkeypatch):
+    from chiralpotts import lattice
+
+    def no_spectra(*args, **kwargs):
+        raise AssertionError("the lattice spectra were built for a usage error")
+
+    monkeypatch.setattr(lattice, "product_spectra", no_spectra)
+    result = runner.invoke(cli.main, [
+        "oracle", "--N", "3", "--L", "7", "--kp", "0.5", "--Q", "1", "--P", "1",
+    ])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "distinct sectors" in errors[0]
+
+
+def test_route_differences_carry_working_precision(runner):
+    # the report prints 58 digits of 192 bits; a difference taken at
+    # 53 bits is off from the 17th digit on
+    inp = formfactor.couplings(3, 6, Q=0, P=2, kp="0.5", precision=192)
+    with mpmath.workprec(inp.working):
+        expected = abs(formfactor.dhat_closed(inp) - formfactor.dhat_det(inp)[0])
+    single = runner.invoke(cli.main, [
+        "formfactor", "--N", "3", "--L", "6", "--Q", "0", "--P", "2", "--kp", "0.5",
+    ])
+    order = runner.invoke(cli.main, [
+        "order", "--N", "3", "--L", "6", "--r", "1", "--kp", "0.5", "--method", "all",
+    ])
+    assert single.exit_code == 0 and order.exit_code == 0
+    sector = _json_of(order)["per_sector"][0]
+    assert (sector["Q"], sector["P"]) == (0, 2)
+    for printed in (
+        _json_of(single)["overlap"]["residuals"]["closed_vs_det"],
+        sector["dhat"]["residuals"]["route_det"],
+    ):
+        with mpmath.workprec(inp.working):
+            assert abs(mpmath.mpf(printed) - expected) < expected * mpmath.mpf(10) ** -50
 
 
 def test_size_guard_exits_three_with_route_hint(runner):

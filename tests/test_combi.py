@@ -2,13 +2,17 @@
 
 The coefficient oracle here enumerates the defining sum directly with
 itertools.product, independent of the per-site polynomial product used in
-the implementation.  The small overlap-table values were worked out by
-hand (L = 4, two-state case) and are frozen."""
+the implementation; the correction oracle enumerates every configuration
+pair, independent of the site transfer in `exchange_table`.  The small
+overlap-table values were worked out by hand (L = 4, two-state case) and
+are frozen."""
 
+import functools
 import itertools
 
 import pytest
 
+from chiralpotts import combi
 from chiralpotts.combi import (
     EdgeConfig,
     calG_table,
@@ -16,6 +20,7 @@ from chiralpotts.combi import (
     count_compositions,
     exchange_sum,
     exchange_sum_dual,
+    exchange_table,
     gen_function_pair,
     ibi_check,
     identity_check,
@@ -58,6 +63,40 @@ def k_coeffs_enum(config: EdgeConfig, max_degree: int):
 def all_configs(N, L):
     for n in itertools.product(range(N), repeat=L):
         yield EdgeConfig(N, L, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _configs_with_total(N, L, total):
+    return tuple(compositions(total, L, N - 1))
+
+
+def correction_from_exchange_enum(N, L, Q, P, ell, j):
+    """The correction term of the table recursion with the exchange sum
+    evaluated on every configuration pair separately."""
+    order = 2 * N
+    total = CycNum.zero(order)
+    for k in range(Q + 1):
+        mu_total = (ell + 1) * N + Q + P - k
+        lam_total = j * N + k
+        if not 0 <= mu_total <= (N - 1) * L:
+            continue
+        if not 0 <= lam_total <= (N - 1) * L:
+            continue
+        mus = _configs_with_total(N, L, mu_total)
+        lams = _configs_with_total(N, L, lam_total)
+        inner = CycNum.zero(order)
+        if P - k == 0:
+            # the order-0 exchange sum is 1 for every configuration pair
+            inner = CycNum.integer(len(mus) * len(lams), order)
+        else:
+            for mu in mus:
+                for lam in lams:
+                    inner = inner + exchange_sum(P - k, mu, lam, N)
+        prefactor = gauss_binom(N - P + Q, Q - k, N) * CycNum.omega_pow(
+            k * k - k * P, order
+        )
+        total = total + prefactor * inner
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +223,13 @@ def test_table_against_exchange_kernel():
                     for lam in compositions(b, L, N - 1):
                         acc = acc + exchange_sum(N, mu, lam, N)
                 assert acc.as_int() == table.entry(a, b), (N, L, a, b)
+                assert exchange_table(N, L, N)[a + N][b] == acc, (N, L, a, b)
+
+
+def test_table_is_built_once_per_size():
+    assert calG_table(3, 4) is calG_table(3, 4)
+    assert calG_table.cache_info().maxsize == combi.CACHE_SIZE
+    assert exchange_table.cache_info().maxsize == combi.CACHE_SIZE
 
 
 def test_table_size_guard():
@@ -207,6 +253,56 @@ def test_uqp_check_small():
     for N, L in [(2, 3), (2, 4), (3, 3)]:
         report = uqp_check(N, L)
         assert report["ok"], report
+
+
+@pytest.mark.parametrize("N, L", [(2, 4), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4)])
+def test_correction_transfer_matches_pair_enumeration(N, L):
+    dim = (N - 1) * L - N + 1
+    for a in range(dim):
+        ell, Q = divmod(a, N)
+        for b in range(dim):
+            j, P = divmod(b, N)
+            if P < Q:
+                continue
+            got = combi._correction_from_exchange(N, L, Q, P, ell, j)
+            assert got == correction_from_exchange_enum(N, L, Q, P, ell, j), (Q, P, ell, j)
+
+
+def test_known_kernel_misses_are_pinned():
+    # the exchange-kernel correction and its closed form in level
+    # degeneracies disagree at these four-state entries, both routes alike
+    misses = {
+        (4, 3): [(0, 5, 200, 136)],
+        (4, 4): [(0, 5, 1616, 1136), (4, 5, 776, 616)],
+    }
+    for (N, L), expected in misses.items():
+        report = uqp_check(N, L)
+        got = [
+            (f["row"], f["col"], f["kernel_vs_closed"]) for f in report["failures"]
+        ]
+        assert got == [
+            (row, col, ("CycNum<8>(%d)" % kernel, closed))
+            for row, col, kernel, closed in expected
+        ]
+        for row, col, kernel, _ in expected:
+            (ell, Q), (j, P) = divmod(row, N), divmod(col, N)
+            assert correction_from_exchange_enum(N, L, Q, P, ell, j).as_int() == kernel
+
+
+def test_uqp_check_larger_sizes():
+    for N, L in [(2, 12), (3, 8)]:
+        report = uqp_check(N, L)
+        assert report["ok"], report["failures"]
+
+
+def test_exchange_table_order_zero_counts_pairs():
+    # the order-0 exchange sum is 1 for every configuration pair
+    counts = level_counts(3, 4)
+    table = exchange_table(3, 4, 0)
+    for M, row in enumerate(table):
+        assert [v.as_int() for v in row] == [counts[M] * c for c in counts]
+    with pytest.raises(ValueError):
+        exchange_table(3, 4, 4)
 
 
 def test_exchange_sum_order_zero_is_one():
