@@ -6,7 +6,8 @@ for the generated_at timestamp.  High-precision numbers are serialized
 as decimal strings so nothing round-trips through binary floats.
 
 Exit codes: 0 success, 2 invalid configuration, 3 size guard, 4
-verification failure (the failing tuples are printed to stderr).
+verification failure (the failing tuples are printed to stderr) or any
+other typed error from `errors` (one line on stderr).
 
 The lattice module is imported inside the commands that need it, after
 the optional THREADS environment variable has been applied, so the BLAS
@@ -34,7 +35,7 @@ from .drinfeld import (
     root_transforms,
     solve_roots,
 )
-from .errors import SizeGuardError
+from .errors import ChiralPottsError, SizeGuardError
 from .formfactor import (
     METHODS,
     couplings,
@@ -121,10 +122,6 @@ def _rec(value, bits: int, **residuals) -> dict:
 
 def _emit(config: RunConfig, payload: dict, csv_rows: list[dict] | None = None):
     if config.format == "csv":
-        if csv_rows is None:
-            raise click.UsageError(
-                f"command {config.command} has no CSV representation"
-            )
         buffer = io.StringIO()
         writer = csv.DictWriter(
             buffer, fieldnames=list(csv_rows[0].keys()), lineterminator="\n"
@@ -163,7 +160,21 @@ def _size_guard(exc: SizeGuardError, hint: str | None = None) -> None:
     sys.exit(3)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; maps a typed error escaping any command to its
+    exit code: 3 for the size guard, 4 for every other one."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SizeGuardError as exc:
+            _size_guard(exc)
+        except ChiralPottsError as exc:
+            click.echo(f"{type(exc).__name__}: {exc}", err=True)
+            sys.exit(4)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact and numerical toolkit for the superintegrable chiral Potts
     order parameter."""
@@ -181,14 +192,11 @@ def main():
 @click.option("--N", "n", type=STATES, required=True)
 @click.option("--L", "width", type=SUITE_WIDTH, required=True)
 @click.option("--out", type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+@click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
 def identity(n, width, out, fmt):
     """Exact overlap-table identity over all sectors and indices."""
     config = RunConfig(command="identity", N=n, L=width, out=out, format=fmt)
-    try:
-        report = identity_check(n, width)
-    except SizeGuardError as exc:
-        _size_guard(exc)
+    report = identity_check(n, width)
     payload = {
         "dim": report["dim"],
         "n_configs": report["n_configs"],
@@ -208,14 +216,11 @@ def identity(n, width, out, fmt):
               help="Seeded sample size for the alternating-sum identity "
                    "when exhaustive enumeration is too large.")
 @click.option("--out", type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+@click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
 def appendix(n, width, samples, out, fmt):
     """Exact generating-function, recursion and alternating-sum checks."""
     config = RunConfig(command="appendix", N=n, L=width, out=out, format=fmt)
-    try:
-        report = appendix_suite(n, width, samples)
-    except SizeGuardError as exc:
-        _size_guard(exc)
+    report = appendix_suite(n, width, samples)
     payload = {
         "genfun_checked": report["genfun_checked"],
         "recursion_checked": report["recursion_checked"],
@@ -240,7 +245,7 @@ def appendix(n, width, samples, out, fmt):
               help="Modulus; include to report the transformed root data.")
 @click.option("--prec", type=PRECISION, default=192, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+@click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
 def drinfeld(n, width, charge, kp, prec, out, fmt):
     """Sector counting polynomial, certified roots, optional transforms."""
     _check_sector("Q", charge, n)
@@ -286,7 +291,7 @@ def drinfeld(n, width, charge, kp, prec, out, fmt):
 @click.option("--method", type=click.Choice(METHODS),
               default="all", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+@click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
 def formfactor(n, width, charge, charge_p, kp, prec, method, out, fmt):
     """Squared form factor of one sector pair by the requested routes."""
     _check_sector("Q", charge, n)
@@ -333,7 +338,7 @@ def formfactor(n, width, charge, charge_p, kp, prec, method, out, fmt):
 @click.option("--method", type=click.Choice(METHODS),
               default="closed", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+@click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
 def order(n, width, offset, kp, prec, method, out, fmt):
     """Squared magnetization of charge r at one width, plus its limit."""
     kp = _check_kp(kp)
@@ -431,10 +436,7 @@ def oracle(n, width, kp, charge, charge_p, prec, out, fmt):
     from . import lattice
 
     kp_float = float(kp)
-    try:
-        spectra = lattice.product_spectra(n, width, kp_float)
-    except SizeGuardError as exc:
-        _size_guard(exc)
+    spectra = lattice.product_spectra(n, width, kp_float)
     if charge is None:
         pairs = [(q, p) for q in range(n) for p in range(n) if p != q]
     else:
@@ -506,10 +508,7 @@ def correlate(n, width, kp, offset, ell, out, fmt):
     from . import lattice
 
     kp_float = float(kp)
-    try:
-        spectra = lattice.product_spectra(n, width, kp_float)
-    except SizeGuardError as exc:
-        _size_guard(exc)
+    spectra = lattice.product_spectra(n, width, kp_float)
     table = [
         {
             "ell": sep,

@@ -13,7 +13,6 @@ factorization and the polynomial exchange identities behind it, exactly.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +22,8 @@ from .cyclo import CycNum, CycPoly, gauss_binom, pochhammer
 from .errors import CountingInvariantError, SizeGuardError
 
 ENUM_GUARD = 10**7
-# Entries per memoized table; one exact suite reads (N-1)L + 1 configuration
-# totals, and the composition count recursion reuses only the width below.
+# Entries per memoized table; one exact suite reads one overlap table and
+# at most N + 1 exchange tables per size.
 CACHE_SIZE = 512
 # Alternating-sum pairs checked exhaustively up to this count, else sampled.
 EXHAUSTIVE_PAIRS = 4096
@@ -49,18 +48,6 @@ def compositions(total: int, length: int, max_part: int) -> Iterator[tuple[int, 
     for first in range(lo, hi + 1):
         for rest in compositions(total - first, length - 1, max_part):
             yield (first,) + rest
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def count_compositions(total: int, length: int, max_part: int) -> int:
-    if total < 0:
-        return 0
-    if length == 0:
-        return 1 if total == 0 else 0
-    return sum(
-        count_compositions(total - first, length - 1, max_part)
-        for first in range(min(max_part, total) + 1)
-    )
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -227,14 +214,14 @@ def calG_table(N: int, L: int) -> GTable:
     Checks integrality of every entry (each is a rational integer even
     though the summands are cyclotomic), the number of configurations
     visited and the symmetry of the table."""
-    n_configs = count_compositions(N, L, N - 1)
+    dim = (N - 1) * L - N + 1
+    if dim < 1:
+        raise ValueError("L is too small for total N")
+    n_configs = level_counts(N, L)[N]
     if n_configs > ENUM_GUARD:
         raise SizeGuardError(
             "overlap table needs %d configurations (guard %d)" % (n_configs, ENUM_GUARD)
         )
-    dim = (N - 1) * L - N + 1
-    if dim < 1:
-        raise ValueError("L is too small for total N")
     order = 2 * N
     acc = [[CycNum.zero(order) for _ in range(dim)] for _ in range(dim)]
     seen = 0
@@ -266,84 +253,16 @@ def calG_table(N: int, L: int) -> GTable:
 
 # ---------------------------------------------------------------------------
 # exchange sums (the polynomial kernels of the appendix identities)
-
-
-def _exchange_sums(mu: tuple[int, ...], lam: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Partial sums of both kernels: mu over the sites strictly before i,
-    lam over the sites strictly after i."""
-    if len(lam) != len(mu):
-        raise ValueError("mu and lam must have the same length")
-    mu_prefix = [0, *itertools.accumulate(mu)][: len(mu)]
-    lam_suffix = [0, *itertools.accumulate(reversed(lam))][: len(lam)][::-1]
-    return mu_prefix, lam_suffix
-
-
-def exchange_sum(n: int, mu: tuple[int, ...], lam: tuple[int, ...], N: int) -> CycNum:
-    """sum over {n_i >= 0, sum n_i = n} of
-    prod_i [mu_i choose n_i] [n_i + lam_i choose n_i]
-    omega^(n_i (mu_prefix_i - n_prefix_i + lam_suffix_i))."""
-    mu_prefix, lam_suffix = _exchange_sums(mu, lam)
-    L = len(mu)
-    order = 2 * N
-    site_cap = [min(mu[i], N - 1 - lam[i]) for i in range(L)]
-    tail_cap = [0] * (L + 1)
-    for i in range(L - 1, -1, -1):
-        tail_cap[i] = tail_cap[i + 1] + site_cap[i]
-
-    total = CycNum.zero(order)
-
-    def recurse(i: int, remaining: int, n_prefix: int, partial: CycNum) -> None:
-        nonlocal total
-        if i == L:
-            if remaining == 0:
-                total = total + partial
-            return
-        lo = max(0, remaining - tail_cap[i + 1])
-        for ni in range(lo, min(site_cap[i], remaining) + 1):
-            w = gauss_binom(mu[i], ni, N) * gauss_binom(ni + lam[i], ni, N)
-            if w.is_zero():
-                continue
-            if ni:
-                w = w * CycNum.omega_pow(
-                    ni * (mu_prefix[i] - n_prefix + lam_suffix[i]), order
-                )
-            recurse(i + 1, remaining - ni, n_prefix + ni, partial * w)
-
-    recurse(0, n, 0, CycNum.integer(1, order))
-    return total
-
-
-def exchange_sum_dual(n: int, lam: tuple[int, ...], mu: tuple[int, ...], N: int) -> CycNum:
-    """The dual kernel: sum over {n_i, sum = n} of
-    prod_i [lam_i choose n_i] [n_i + mu_i choose n_i]
-    omega^(n_i (lam_suffix_i - n_suffix_i + mu_prefix_i))."""
-    mu_prefix, lam_suffix = _exchange_sums(mu, lam)
-    L = len(mu)
-    order = 2 * N
-
-    total = CycNum.zero(order)
-
-    def recurse(i: int, remaining: int, partial: CycNum, n_so_far: list[int]) -> None:
-        nonlocal total
-        if i == L:
-            if remaining == 0:
-                # suffix sums of n are only known once the whole tuple is fixed
-                phase = 0
-                nsuf = 0
-                for k in range(L - 1, -1, -1):
-                    phase += n_so_far[k] * (lam_suffix[k] - nsuf + mu_prefix[k])
-                    nsuf += n_so_far[k]
-                total = total + partial * CycNum.omega_pow(phase, order)
-            return
-        cap = min(lam[i], remaining, N - 1 - mu[i])
-        for ni in range(cap + 1):
-            w = gauss_binom(lam[i], ni, N) * gauss_binom(ni + mu[i], ni, N)
-            n_so_far.append(ni)
-            recurse(i + 1, remaining - ni, partial * w, n_so_far)
-            n_so_far.pop()
-
-    recurse(0, n, CycNum.integer(1, order), [])
-    return total
+#
+# The order-n exchange kernel of a configuration pair (mu, lam) is the sum
+# over {n_i >= 0, sum n_i = n} of
+#     prod_i [mu_i choose n_i] [n_i + lam_i choose n_i]
+#     omega^(n_i (mu_prefix_i - n_prefix_i + lam_suffix_i)),
+# with prefix sums over the sites strictly before i and suffix sums over
+# those strictly after.  The dual kernel of the appendix swaps the roles
+# (lam and the n with suffix sums, mu with prefix sums); reversing the
+# sites turns suffix sums into prefix sums, so the dual kernel of
+# (lam, mu) is the kernel of (lam[::-1], mu[::-1]).
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -362,35 +281,38 @@ def _omega_binomials(N: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(rows)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def exchange_table(N: int, L: int, n: int) -> tuple[tuple[CycNum, ...], ...]:
-    """table[M][T]: `exchange_sum(n, mu, lam, N)` summed over every
-    configuration pair with sum(mu) = M and sum(lam) = T, for all M and T
-    in [0, (N-1)L] at once.
+def _exchange_transfer(
+    N: int, sites: list[tuple[tuple[int, ...], tuple[int, ...]]], n_top: int
+) -> dict[tuple[int, int, int], tuple[int, ...]]:
+    """{(M, T, n): the order-n exchange kernel summed over every pair with
+    sum(mu) = M and sum(lam) = T} for all n <= n_top, where site i offers
+    the values sites[i] = (mu_i values, lam_i values).
 
     Writing lam_suffix_i = T - lam_prefix_i - lam_i, site i contributes
     omega^(n_i (mu_prefix_i - n_prefix_i - lam_prefix_i - lam_i)) and the
     factor omega^(nT) leaves the sum, so a left-to-right transfer over
     the states (mu prefix, lam prefix, n prefix) yields every total pair.
     The states hold integer vectors in Z[y]/(y^N - 1), y = omega, where a
-    phase is an index rotation; each entry maps to Z[zeta] (y -> zeta^2,
-    a ring homomorphism) once, at the end."""
-    if not 0 <= n <= N:
-        raise ValueError("kernel order must lie in [0, N]")
+    phase is an index rotation; `_in_zeta` maps a kept entry to Z[zeta]."""
     binom = _omega_binomials(N)
     # [n_i + lam_i choose n_i] omega^(-n_i lam_i), zero once n_i + lam_i >= N
     lam_weight = [
         [_rotate(binom[ni + li][ni], -ni * li) for li in range(N - ni)] for ni in range(N)
     ]
     states: dict[tuple[int, int, int], list[int]] = {(0, 0, 0): [1] + [0] * (N - 1)}
-    for _ in range(L):
+    for mus, lams in sites:
         new: dict[tuple[int, int, int], list[int]] = {}
+        ni_cap = min(max(mus), N - 1 - min(lams))
         for (mp, lp, np_), vec in states.items():
-            for ni in range(min(N - 1, n - np_) + 1):
+            for ni in range(min(ni_cap, n_top - np_) + 1):
                 shifted = _rotate(vec, ni * (mp - np_ - lp))
-                for mi in range(ni, N):
+                for mi in mus:
+                    if mi < ni:
+                        continue
                     by_mu = _cyclic_mul(shifted, binom[mi][ni]) if ni else shifted
-                    for li in range(N - ni):
+                    for li in lams:
+                        if li >= N - ni:
+                            continue
                         term = _cyclic_mul(by_mu, lam_weight[ni][li]) if ni else by_mu
                         key = (mp + mi, lp + li, np_ + ni)
                         acc = new.get(key)
@@ -400,14 +322,43 @@ def exchange_table(N: int, L: int, n: int) -> tuple[tuple[CycNum, ...], ...]:
                             for t in range(N):
                                 acc[t] += term[t]
         states = new
-    order = 2 * N
+    return {(M, T, n): _rotate(vec, n * T) for (M, T, n), vec in states.items()}
+
+
+def _in_zeta(vec) -> CycNum:
+    """An element of Z[y]/(y^N - 1), y = omega, in Z[zeta]: y -> zeta^2 is
+    a ring homomorphism, so the exact value is kept."""
+    return CycNum(2 * len(vec), [c for v in vec for c in (v, 0)])
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def exchange_table(N: int, L: int, n: int) -> tuple[tuple[CycNum, ...], ...]:
+    """table[M][T]: the order-n exchange kernel summed over every
+    configuration pair with sum(mu) = M and sum(lam) = T, for all M and T
+    in [0, (N-1)L] at once: one transfer whose sites offer all of [0, N)."""
+    if not 0 <= n <= N:
+        raise ValueError("kernel order must lie in [0, N]")
     top = (N - 1) * L
-    table = [[CycNum.zero(order)] * (top + 1) for _ in range(top + 1)]
-    for (mp, lp, np_), vec in states.items():
-        if np_ == n:
-            vec = _rotate(vec, n * lp)
-            table[mp][lp] = CycNum(order, [c for v in vec for c in (v, 0)])
+    table = [[CycNum.zero(2 * N)] * (top + 1) for _ in range(top + 1)]
+    every = tuple(range(N))
+    for (M, T, order_n), vec in _exchange_transfer(N, [(every, every)] * L, n).items():
+        if order_n == n:
+            table[M][T] = _in_zeta(vec)
     return tuple(map(tuple, table))
+
+
+def exchange_sums(
+    mu: tuple[int, ...], lam: tuple[int, ...], N: int
+) -> tuple[CycNum, ...]:
+    """The exchange kernel of one configuration pair at every order n in
+    [0, sum(mu)], from one transfer whose sites offer the pair's values."""
+    if len(lam) != len(mu):
+        raise ValueError("mu and lam must have the same length")
+    kernels = [CycNum.zero(2 * N)] * (sum(mu) + 1)
+    sites = [((m,), (l,)) for m, l in zip(mu, lam)]
+    for (_, _, n), vec in _exchange_transfer(N, sites, sum(mu)).items():
+        kernels[n] = _in_zeta(vec)
+    return tuple(kernels)
 
 
 def _rotate(vec, e: int) -> tuple[int, ...]:
@@ -429,19 +380,15 @@ def _cyclic_mul(a, b) -> list[int]:
 
 
 def _alternating_exchange_poly(
-    mu: tuple[int, ...], lam: tuple[int, ...], N: int, dual: bool
+    mu: tuple[int, ...], lam: tuple[int, ...], N: int
 ) -> CycPoly:
-    """sum_n (-1)^n omega^(n^2/2) (exchange sum)_n t^n, with
+    """sum_n (-1)^n omega^(n^2/2) (exchange kernel)_n t^n, with
     (-1)^n omega^(n^2/2) = zeta^(n^2 + nN)."""
     order = 2 * N
-    cap = min(sum(mu) if not dual else sum(lam), (N - 1) * len(mu))
-    coeffs = []
-    for n in range(cap + 1):
-        val = (
-            exchange_sum_dual(n, lam, mu, N) if dual else exchange_sum(n, mu, lam, N)
-        )
-        coeffs.append(CycNum.zeta_pow(n * n + n * N, order) * val)
-    return CycPoly(order, coeffs)
+    return CycPoly(order, [
+        CycNum.zeta_pow(n * n + n * N, order) * value
+        for n, value in enumerate(exchange_sums(mu, lam, N))
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +541,9 @@ def ibi_check(N: int, L: int, mu, lam) -> dict:
     j, P = divmod(sum(lam), N)
     order = 2 * N
 
-    lhs = _alternating_exchange_poly(mu, lam, N, dual=False)
-    rhs = _alternating_exchange_poly(mu, lam, N, dual=True)
+    lhs = _alternating_exchange_poly(mu, lam, N)
+    # the dual kernel is the direct one on the reversed pair
+    rhs = _alternating_exchange_poly(lam[::-1], mu[::-1], N)
     poch = pochhammer(Fraction(1, 2) + P, N - P + Q, N)
     rhs = poch * rhs
 

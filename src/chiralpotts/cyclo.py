@@ -335,10 +335,6 @@ class CycPoly:
         object.__setattr__(self, "coeffs", _trim(tup))
 
     @staticmethod
-    def constant(value: CycNum) -> CycPoly:
-        return CycPoly(value.order, (value,))
-
-    @staticmethod
     def one(order: int) -> CycPoly:
         return CycPoly(order, (CycNum.integer(1, order),))
 
@@ -414,13 +410,6 @@ class CycPoly:
 
     def truncate(self, max_degree: int) -> CycPoly:
         return CycPoly(self.order, self.coeffs[: max_degree + 1])
-
-    def shift(self, k: int) -> CycPoly:
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        zero = CycNum.zero(self.order)
-        return CycPoly(self.order, (zero,) * k + self.coeffs)
 
     def evaluate(self, x: CycNum) -> CycNum:
         acc = CycNum.zero(self.order)

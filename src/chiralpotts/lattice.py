@@ -25,6 +25,7 @@ import scipy.linalg
 from .errors import (
     CurveMismatchError,
     DegenerateMaxEigenvalueError,
+    DomainError,
     EigenbasisMismatchError,
     IdentityViolationError,
     OrthogonalityViolationError,
@@ -132,13 +133,19 @@ def physical_point(N: int, kp: float, fraction: float = 0.5) -> RapidityPoint:
     The window runs from the superintegrable value t = (1-k')/k^2
     (excluded) to t = 1 (excluded); any interior fraction gives a generic
     rapidity whose dominant sector eigenvectors are the chain ground
-    states.
+    states.  A k' so small that the window is empty in double precision
+    raises DomainError.
     """
     kp = _check_modulus(kp)
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"window fraction must lie in (0, 1), got {fraction}")
     t_super = 1.0 / (1.0 + kp)
-    return horizontal_point(N, kp, t_super + fraction * (1.0 - t_super))
+    t = t_super + fraction * (1.0 - t_super)
+    if not t_super < t < 1.0:
+        raise DomainError(
+            f"physical window ({t_super!r}, 1) is empty in double precision at k'={kp}"
+        )
+    return horizontal_point(N, kp, t)
 
 
 def boltzmann_weights(
@@ -575,25 +582,19 @@ def _biorthonormalize(
     return left, residual
 
 
-def sector_spectrum(
-    block: SectorMatrix,
-    pair: SectorMatrix | None = None,
-    check_ground_match: bool = True,
-) -> SectorSpectrum:
-    """Full biorthogonal spectrum of a sector block or of a block product.
-
-    With `pair` given, diagonalizes block.mat @ pair.mat (the two-row
-    evolution operator); the dominant right eigenvector is then checked to
-    be proportional to the ground state of the sector Hamiltonian at the
-    same modulus, which is the shared-eigenbasis property everything
-    downstream relies on.
+def sector_spectrum(block: SectorMatrix, pair: SectorMatrix) -> SectorSpectrum:
+    """Full biorthogonal spectrum of the block product block.mat @ pair.mat
+    (the two-row evolution operator).  The dominant right eigenvector is
+    checked to be proportional to the ground state of the sector
+    Hamiltonian at the same modulus, which is the shared-eigenbasis
+    property everything downstream relies on.
 
     Raises:
         DegenerateMaxEigenvalueError: top two eigenvalue moduli coincide.
         OrthogonalityViolationError: biorthonormalization failed.
         EigenbasisMismatchError: dominant vector not the chain ground state.
     """
-    mat = block.mat if pair is None else block.mat @ pair.mat
+    mat = block.mat @ pair.mat
     values, vl, vr = scipy.linalg.eig(mat, left=True, right=True)
     order = np.lexsort((np.angle(values), -np.abs(values)))
     values = values[order]
@@ -615,20 +616,19 @@ def sector_spectrum(
         raise OrthogonalityViolationError(
             f"biorthonormality residual {biorth:.3e} in sector Q={block.Q}"
         )
-    if pair is not None and check_ground_match:
-        ham = build_hamiltonian(block.N, block.L, block.Q, block.kp)
-        energies, states = scipy.linalg.eigh(ham.mat)
-        ground = states[:, int(np.argmin(energies))]
-        lead = right[:, 0]
-        cosine = abs(np.vdot(ground, lead)) / (
-            np.linalg.norm(ground) * np.linalg.norm(lead)
+    ham = build_hamiltonian(block.N, block.L, block.Q, block.kp)
+    energies, states = scipy.linalg.eigh(ham.mat)
+    ground = states[:, int(np.argmin(energies))]
+    lead = right[:, 0]
+    cosine = abs(np.vdot(ground, lead)) / (
+        np.linalg.norm(ground) * np.linalg.norm(lead)
+    )
+    if 1.0 - cosine > 1e-8:
+        raise EigenbasisMismatchError(
+            f"dominant transfer eigenvector deviates from the chain "
+            f"ground state by 1 - |cos| = {1.0 - cosine:.3e} "
+            f"in sector Q={block.Q} (N={block.N}, L={block.L})"
         )
-        if 1.0 - cosine > 1e-8:
-            raise EigenbasisMismatchError(
-                f"dominant transfer eigenvector deviates from the chain "
-                f"ground state by 1 - |cos| = {1.0 - cosine:.3e} "
-                f"in sector Q={block.Q} (N={block.N}, L={block.L})"
-            )
     return SectorSpectrum(
         N=block.N,
         L=block.L,
@@ -661,7 +661,6 @@ def product_spectra(
     L: int,
     kp: float,
     q: RapidityPoint | None = None,
-    check_ground_match: bool = True,
 ) -> list[SectorSpectrum]:
     """Spectra of T_Q That_Q for every charge sector at one rapidity.
 
@@ -677,9 +676,7 @@ def product_spectra(
     for charge in range(N):
         block = transfer_block_of_charge(N, L, charge)
         t_block, t_hat_block = build_sector_transfer(N, L, block, q, kp)
-        out.append(
-            sector_spectrum(t_block, t_hat_block, check_ground_match)
-        )
+        out.append(sector_spectrum(t_block, t_hat_block))
     return out
 
 

@@ -222,6 +222,23 @@ def test_size_guard_exits_three_with_route_hint(runner):
     assert "use --method det for large widths" in result.output
 
 
+@pytest.mark.parametrize("argv", [
+    "order --N 2 --L 4 --r 1 --kp 1e-80",
+    "formfactor --N 3 --L 6 --Q 0 --P 2 --kp 1e-70",
+    "drinfeld --N 3 --L 6 --Q 1 --kp 1e-90",
+    "oracle --N 2 --L 4 --kp 0.999999",
+    "correlate --N 2 --L 4 --kp 1e-9 --r 1",
+])
+def test_typed_error_exits_four_without_traceback(runner, argv):
+    # each modulus passes the (0, 1) range check, then trips a typed error
+    result = runner.invoke(cli.main, argv.split())
+    assert result.exit_code == 4, (result.output, result.exception)
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(("DomainError: ", "CurveMismatchError: "))
+
+
 def test_verification_failure_exits_four(runner, monkeypatch):
     monkeypatch.setattr(cli, "ORACLE_TOL", 0.0)
     result = runner.invoke(cli.main, [
@@ -256,12 +273,17 @@ _BAD = st.sampled_from(["-1", "0", "1", "1.5", "nan", "x", ""])
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(
-        ["identity", "appendix", "drinfeld", "formfactor", "order", "sweep"]
+    command = draw(st.sampled_from([
+        "identity", "appendix", "drinfeld", "formfactor", "order", "sweep",
+        "oracle", "correlate",
+    ]))
+    # appendix at N=4, L=4 alone takes about 10 s; oracle and correlate
+    # diagonalize dense sector blocks of dimension N^(L-1)
+    on_lattice = command in ("oracle", "correlate")
+    n = draw(st.integers(2, 3 if on_lattice or command == "appendix" else 4))
+    widths = draw(st.lists(
+        st.integers(1, 3 if on_lattice else 4), min_size=1, max_size=2, unique=True
     ))
-    # appendix at N=4, L=4 alone takes about 10 s
-    n = draw(st.integers(2, 3 if command == "appendix" else 4))
-    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True))
     if command != "sweep":
         widths = widths[:1]
     options = [("--N", n)] + [("--L", width) for width in sorted(widths)]
@@ -269,10 +291,14 @@ def _argv(draw):
         options.append(("--Q", draw(st.integers(0, n - 1))))
     if command == "formfactor":
         options.append(("--P", draw(st.integers(0, n - 1))))
-    if command in ("order", "sweep"):
+    if command in ("order", "sweep", "correlate"):
         options.append(("--r", draw(st.integers(1, n - 1))))
-    if command in ("drinfeld", "formfactor", "order", "sweep"):
-        options.append(("--kp", draw(st.sampled_from(["0.2", "0.5", "0.8"]))))
+    if command not in ("identity", "appendix"):
+        # the last two lie inside (0, 1) but far enough out to trip typed errors
+        options.append(("--kp", draw(st.sampled_from(
+            ["0.2", "0.5", "0.8", "1e-80", "0.999999"]
+        ))))
+    if command in ("drinfeld", "formfactor", "order", "sweep", "oracle"):
         options.append(("--prec", draw(st.sampled_from([128, 192]))))
     if command in ("formfactor", "order", "sweep"):
         options.append(("--method", draw(st.sampled_from(formfactor.METHODS))))

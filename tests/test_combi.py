@@ -2,13 +2,15 @@
 
 The coefficient oracle here enumerates the defining sum directly with
 itertools.product, independent of the per-site polynomial product used in
-the implementation; the correction oracle enumerates every configuration
-pair, independent of the site transfer in `exchange_table`.  The small
-overlap-table values were worked out by hand (L = 4, two-state case) and
-are frozen."""
+the implementation.  The exchange-kernel oracles are two recursions over
+the n_i, one with prefix sums and one with suffix sums, independent of
+the site transfer in `combi`; the correction oracle sums the first over
+every configuration pair.  The small overlap-table values were worked out
+by hand (L = 4, two-state case) and are frozen."""
 
 import functools
 import itertools
+import random
 
 import pytest
 
@@ -17,9 +19,7 @@ from chiralpotts.combi import (
     EdgeConfig,
     calG_table,
     compositions,
-    count_compositions,
-    exchange_sum,
-    exchange_sum_dual,
+    exchange_sums,
     exchange_table,
     gen_function_pair,
     ibi_check,
@@ -70,6 +70,84 @@ def _configs_with_total(N, L, total):
     return tuple(compositions(total, L, N - 1))
 
 
+def _exchange_sums(mu: tuple[int, ...], lam: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Partial sums of both kernels: mu over the sites strictly before i,
+    lam over the sites strictly after i."""
+    if len(lam) != len(mu):
+        raise ValueError("mu and lam must have the same length")
+    mu_prefix = [0, *itertools.accumulate(mu)][: len(mu)]
+    lam_suffix = [0, *itertools.accumulate(reversed(lam))][: len(lam)][::-1]
+    return mu_prefix, lam_suffix
+
+
+def exchange_sum(n: int, mu: tuple[int, ...], lam: tuple[int, ...], N: int) -> CycNum:
+    """sum over {n_i >= 0, sum n_i = n} of
+    prod_i [mu_i choose n_i] [n_i + lam_i choose n_i]
+    omega^(n_i (mu_prefix_i - n_prefix_i + lam_suffix_i))."""
+    mu_prefix, lam_suffix = _exchange_sums(mu, lam)
+    L = len(mu)
+    order = 2 * N
+    site_cap = [min(mu[i], N - 1 - lam[i]) for i in range(L)]
+    tail_cap = [0] * (L + 1)
+    for i in range(L - 1, -1, -1):
+        tail_cap[i] = tail_cap[i + 1] + site_cap[i]
+
+    total = CycNum.zero(order)
+
+    def recurse(i: int, remaining: int, n_prefix: int, partial: CycNum) -> None:
+        nonlocal total
+        if i == L:
+            if remaining == 0:
+                total = total + partial
+            return
+        lo = max(0, remaining - tail_cap[i + 1])
+        for ni in range(lo, min(site_cap[i], remaining) + 1):
+            w = gauss_binom(mu[i], ni, N) * gauss_binom(ni + lam[i], ni, N)
+            if w.is_zero():
+                continue
+            if ni:
+                w = w * CycNum.omega_pow(
+                    ni * (mu_prefix[i] - n_prefix + lam_suffix[i]), order
+                )
+            recurse(i + 1, remaining - ni, n_prefix + ni, partial * w)
+
+    recurse(0, n, 0, CycNum.integer(1, order))
+    return total
+
+
+def exchange_sum_dual(n: int, lam: tuple[int, ...], mu: tuple[int, ...], N: int) -> CycNum:
+    """The dual kernel: sum over {n_i, sum = n} of
+    prod_i [lam_i choose n_i] [n_i + mu_i choose n_i]
+    omega^(n_i (lam_suffix_i - n_suffix_i + mu_prefix_i))."""
+    mu_prefix, lam_suffix = _exchange_sums(mu, lam)
+    L = len(mu)
+    order = 2 * N
+
+    total = CycNum.zero(order)
+
+    def recurse(i: int, remaining: int, partial: CycNum, n_so_far: list[int]) -> None:
+        nonlocal total
+        if i == L:
+            if remaining == 0:
+                # suffix sums of n are only known once the whole tuple is fixed
+                phase = 0
+                nsuf = 0
+                for k in range(L - 1, -1, -1):
+                    phase += n_so_far[k] * (lam_suffix[k] - nsuf + mu_prefix[k])
+                    nsuf += n_so_far[k]
+                total = total + partial * CycNum.omega_pow(phase, order)
+            return
+        cap = min(lam[i], remaining, N - 1 - mu[i])
+        for ni in range(cap + 1):
+            w = gauss_binom(lam[i], ni, N) * gauss_binom(ni + mu[i], ni, N)
+            n_so_far.append(ni)
+            recurse(i + 1, remaining - ni, partial * w, n_so_far)
+            n_so_far.pop()
+
+    recurse(0, n, CycNum.integer(1, order), [])
+    return total
+
+
 def correction_from_exchange_enum(N, L, Q, P, ell, j):
     """The correction term of the table recursion with the exchange sum
     evaluated on every configuration pair separately."""
@@ -106,7 +184,7 @@ def correction_from_exchange_enum(N, L, Q, P, ell, j):
 def test_compositions_order_and_count():
     got = list(compositions(3, 3, 2))
     assert got == sorted(got)
-    assert len(got) == count_compositions(3, 3, 2) == 7
+    assert len(got) == level_counts(3, 3)[3] == 7
     assert all(sum(c) == 3 and max(c) <= 2 for c in got)
 
 
@@ -308,6 +386,27 @@ def test_exchange_table_order_zero_counts_pairs():
 def test_exchange_sum_order_zero_is_one():
     assert exchange_sum(0, (1, 2, 0), (2, 0, 1), 3).as_int() == 1
     assert exchange_sum_dual(0, (1, 2, 0), (2, 0, 1), 3).as_int() == 1
+    assert exchange_sums((1, 2, 0), (2, 0, 1), 3)[0].as_int() == 1
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_exchange_sums_match_both_recursions(N):
+    # every order, direct and dual orientation: the dual kernel of
+    # (lam, mu) is the direct kernel of the reversed pair
+    rng = random.Random(N)
+    zero = CycNum.zero(2 * N)
+    for L in range(1, 6):
+        for _ in range(20):
+            mu = tuple(rng.randrange(N) for _ in range(L))
+            lam = tuple(rng.randrange(N) for _ in range(L))
+            direct = exchange_sums(mu, lam, N)
+            dual = exchange_sums(lam[::-1], mu[::-1], N)
+            assert len(direct) == sum(mu) + 1 and len(dual) == sum(lam) + 1
+            for n in range((N - 1) * L + 1):
+                got = direct[n] if n < len(direct) else zero
+                assert got == exchange_sum(n, mu, lam, N), (mu, lam, n)
+                got = dual[n] if n < len(dual) else zero
+                assert got == exchange_sum_dual(n, lam, mu, N), (mu, lam, n)
 
 
 def test_ibi_check_cases():

@@ -13,6 +13,7 @@ from chiralpotts import lattice
 from chiralpotts.errors import (
     CurveMismatchError,
     DegenerateMaxEigenvalueError,
+    DomainError,
     EigenbasisMismatchError,
     IdentityViolationError,
     SizeGuardError,
@@ -80,6 +81,9 @@ def test_modulus_and_branch_validation():
         horizontal_point(3, 0.5, 1.2)
     with pytest.raises(ValueError):
         physical_point(3, 0.5, fraction=0.0)
+    # at k' = 1e-80 the window (1/(1+k'), 1) is empty in double precision
+    with pytest.raises(DomainError):
+        physical_point(2, 1e-80)
 
 
 def test_weights_mismatched_points_rejected():
@@ -355,7 +359,7 @@ def test_ground_match_verified_through_width_five():
     # the shared-eigenbasis identification is checked inside, so passing
     # construction is the assertion
     for L in (3, 4, 5):
-        product_spectra(3, L, 0.5, check_ground_match=True)
+        product_spectra(3, L, 0.5)
 
 
 def test_equal_rapidity_product_is_degenerate():
