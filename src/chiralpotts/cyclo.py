@@ -263,13 +263,6 @@ class CycNum:
         return "CycNum<%d>(%s)" % (self.order, terms)
 
 
-def embed_complex(x: CycNum, precision: int = 53) -> mpmath.mpc:
-    """Evaluate a CycNum at zeta = exp(i pi / N) in binary precision bits."""
-    if precision < 53:
-        raise ValueError("precision below 53 bits is not supported")
-    return x.embed(precision)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian binomials at omega
 

