@@ -587,23 +587,20 @@ def _start_vector(dim: int) -> np.ndarray:
 class GroundState:
     """Normalised ground state of one charge block of the chain.
 
-    Q is the Fourier block label, as for `build_hamiltonian`; gap is the
-    distance to the next level of the same block (inf at dimension 1).
+    Q is the Fourier block label, as for `build_hamiltonian`.
     """
 
     N: int
     L: int
     Q: int
     kp: float
-    energy: float
-    gap: float
     vector: np.ndarray = field(repr=False)
 
 
 def ground_state(N: int, L: int, Q: int, kp: float) -> GroundState:
-    """Lowest eigenpair of the sparse chain block by ARPACK Lanczos
-    (`eigsh`, two smallest algebraic eigenvalues, tol 1e-14), started from
-    a fixed random vector.  Blocks too small for ARPACK (k >= dim - 1 for a
+    """Lowest eigenvector of the sparse chain block by ARPACK Lanczos
+    (`eigsh`, smallest algebraic eigenvalue, tol 1e-14), started from a
+    fixed random vector.  Blocks too small for ARPACK (k >= dim - 1 for a
     complex block) are solved densely.
 
     Raises:
@@ -614,12 +611,12 @@ def ground_state(N: int, L: int, Q: int, kp: float) -> GroundState:
 
     ham = build_hamiltonian(N, L, Q, kp)
     dim = ham.dim
-    if dim <= 3:
-        energies, states = scipy.linalg.eigh(ham.op.toarray())
+    if dim <= 2:
+        _, states = scipy.linalg.eigh(ham.op.toarray())
     else:
         try:
-            energies, states = scipy.sparse.linalg.eigsh(
-                ham.op, k=2, which="SA", tol=1e-14,
+            _, states = scipy.sparse.linalg.eigsh(
+                ham.op, k=1, which="SA", tol=1e-14,
                 ncv=min(dim, KRYLOV_VECTORS), v0=_start_vector(dim),
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
@@ -627,16 +624,9 @@ def ground_state(N: int, L: int, Q: int, kp: float) -> GroundState:
                 f"Lanczos did not converge on the chain block Q={Q} "
                 f"(N={N}, L={L})"
             ) from exc
-    order = np.argsort(energies)
-    vector = states[:, order[0]]
+    vector = states[:, 0]
     return GroundState(
-        N=N,
-        L=L,
-        Q=Q,
-        kp=ham.kp,
-        energy=float(energies[order[0]]),
-        gap=float(energies[order[1]] - energies[order[0]]) if dim > 1 else np.inf,
-        vector=vector / np.linalg.norm(vector),
+        N=N, L=L, Q=Q, kp=ham.kp, vector=vector / np.linalg.norm(vector)
     )
 
 
@@ -808,7 +798,6 @@ class SectorSpectrum:
     right: np.ndarray = field(repr=False)
     left: np.ndarray = field(repr=False)
     biorth_residual: float
-    reconstruction_residual: float
 
     @property
     def dim(self) -> int:
@@ -870,10 +859,6 @@ def sector_spectrum(block: SectorMatrix, pair: SectorMatrix) -> SectorSpectrum:
                 f"coincide in sector Q={block.Q} (N={block.N}, L={block.L})"
             )
     left, biorth = _biorthonormalize(values, right, left)
-    recon = float(
-        np.linalg.norm((right * values) @ left - mat)
-        / max(np.linalg.norm(mat), 1e-300)
-    )
     if biorth > 1e-8:
         raise OrthogonalityViolationError(
             f"biorthonormality residual {biorth:.3e} in sector Q={block.Q}"
@@ -896,7 +881,6 @@ def sector_spectrum(block: SectorMatrix, pair: SectorMatrix) -> SectorSpectrum:
         right=right,
         left=left,
         biorth_residual=biorth,
-        reconstruction_residual=recon,
     )
 
 
@@ -915,21 +899,15 @@ def transfer_block_of_charge(N: int, L: int, charge: int) -> int:
 
 
 def certified_ground_states(
-    N: int,
-    L: int,
-    kp: float,
-    charges,
-    q: RapidityPoint | None = None,
+    N: int, L: int, kp: float, charges
 ) -> dict[int, tuple[GroundState, TransferCertificate]]:
     """Sparse ground state and transfer certificate of each named charge.
 
     Keys are counting charges; each state belongs to the Fourier block
     `transfer_block_of_charge(N, L, charge)`.  Only the named sectors are
-    solved.  The certificate uses the midpoint of the physical window
-    unless an explicit point is passed.
+    solved.  The certificate uses the midpoint of the physical window.
     """
-    if q is None:
-        q = physical_point(N, kp)
+    q = physical_point(N, kp)
     out = {}
     for charge in charges:
         state = ground_state(N, L, transfer_block_of_charge(N, L, charge), kp)
