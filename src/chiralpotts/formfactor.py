@@ -11,12 +11,17 @@ their agreement a meaningful check.
 Sector roles are normalized so the bra sector Q carries m' roots and
 the ket sector P carries m, with m' - m in {0, 1}; the overlap product
 is symmetric under swapping the roles, so the normalization loses
-nothing.  All arithmetic here runs at twice the root precision.
+nothing.  Every route works at twice the root precision: the sum and
+closed routes in mpmath, the determinant in stdlib `decimal` with as
+many digits plus ten guard digits.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,8 +45,8 @@ METHODS = ("sum", "det", "closed", "all")
 
 
 def _pval(coeffs, x):
-    """Evaluate an ascending-coefficient polynomial."""
-    acc = mpmath.mpf(0)
+    """Evaluate an ascending-coefficient polynomial in the arithmetic of x."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -49,7 +54,7 @@ def _pval(coeffs, x):
 
 def _pder(coeffs, x):
     """Evaluate its derivative."""
-    acc = mpmath.mpf(0)
+    acc = 0
     for n in range(len(coeffs) - 1, 0, -1):
         acc = acc * x + n * coeffs[n]
     return acc
@@ -226,24 +231,16 @@ def dhat_sum(inp: FormFactorInput):
 
 def _kernel_matrix(inp: FormFactorInput, eps: int = 1):
     """Cauchy-kernel matrix B with rows on ket roots and columns on bra
-    roots.  The f weights are principal square roots; every choice of
-    branch and of eps cancels from the determinant, which the tests
-    exercise."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
+    roots, as complex mpmath entries.  The f weights are principal square
+    roots; every choice of branch and of eps cancels from the determinant,
+    which the tests exercise.  `dhat_det` never builds B: it works with
+    the real squares of the weights, and B stays as the complex-arithmetic
+    reference the tests rebuild that determinant from."""
     with mpmath.workprec(inp.working):
         z, zp = inp.roots_ket.z, inp.roots_bra.z
-        lam_ket = lambda_block(inp.N, inp.L, inp.P)
-        lam_bra = lambda_block(inp.N, inp.L, inp.Q)
-        f, fp = [], []
-        for zi in z:
-            a = _pval(lam_bra, zi) / lam_bra[-1]
-            b = _pder(lam_ket, zi) / lam_ket[-1]
-            f.append(mpmath.sqrt(mpmath.mpc(eps * a / b)))
-        for zj in zp:
-            a = _pval(lam_ket, zj) / lam_ket[-1]
-            b = _pder(lam_bra, zj) / lam_bra[-1]
-            fp.append(mpmath.sqrt(mpmath.mpc(-eps * a / b)))
+        f2, fp2 = _squared_weights(inp, eps, z, zp)
+        f = [mpmath.sqrt(mpmath.mpc(v)) for v in f2]
+        fp = [mpmath.sqrt(mpmath.mpc(v)) for v in fp2]
         B = mpmath.zeros(inp.m, inp.mp)
         for i in range(inp.m):
             for j in range(inp.mp):
@@ -251,52 +248,144 @@ def _kernel_matrix(inp: FormFactorInput, eps: int = 1):
         return B
 
 
-def _orthogonality_residual(inp: FormFactorInput, B) -> mpmath.mpf:
-    """Largest entry deviation of B B^T (or B^T B, whichever is the
-    square of the smaller side) from the identity."""
-    with mpmath.workprec(inp.working):
-        if inp.m <= inp.mp:
-            G = B * B.T
-            dim = inp.m
-        else:
-            G = B.T * B
-            dim = inp.mp
-        resid = mpmath.mpf(0)
-        for i in range(dim):
-            for j in range(dim):
-                want = 1 if i == j else 0
-                resid = max(resid, abs(G[i, j] - want))
-        return resid
+def _squared_weights(inp: FormFactorInput, eps: int, z, zp):
+    """Squared kernel weights f_i^2 = eps lam_bra(z_i)/lam_ket'(z_i) on the
+    ket roots and f'_j^2 = -eps lam_ket(z'_j)/lam_bra'(z'_j) on the bra
+    roots, each polynomial scaled by its leading coefficient.  Both are
+    real, and evaluated in the arithmetic of the roots z, z' passed in."""
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
+    lam_ket = lambda_block(inp.N, inp.L, inp.P)
+    lam_bra = lambda_block(inp.N, inp.L, inp.Q)
+    f2 = [
+        eps * (_pval(lam_bra, zi) / lam_bra[-1]) / (_pder(lam_ket, zi) / lam_ket[-1])
+        for zi in z
+    ]
+    fp2 = [
+        -eps * (_pval(lam_ket, zj) / lam_ket[-1]) / (_pder(lam_bra, zj) / lam_bra[-1])
+        for zj in zp
+    ]
+    return f2, fp2
+
+
+def _decimal_context(inp: FormFactorInput) -> decimal.Context:
+    """Decimal context carrying the working precision plus ten guard digits."""
+    return decimal.Context(prec=math.ceil(inp.working * math.log10(2)) + 10)
+
+
+def _to_decimal(x) -> decimal.Decimal:
+    """The mpf x = man 2^exp, taken exactly and rounded once by the
+    current decimal context."""
+    sign, man, exp, _ = x._mpf_
+    if sign:
+        man = -man
+    if exp >= 0:
+        return +decimal.Decimal(man << exp)
+    return decimal.Decimal(man) / decimal.Decimal(1 << -exp)
+
+
+def _to_mpf(x: decimal.Decimal, working: int) -> mpmath.mpf:
+    """The decimal x rounded once to an mpf of `working` bits."""
+    with mpmath.workprec(working):
+        return mpmath.mpf(str(x))
+
+
+def _real_kernel(inp: FormFactorInput, eps: int):
+    """Real form of the Cauchy kernel B = F K F', K_ij = 1/(z_i - z'_j),
+    in the current decimal context: the squared ket weights f^2 and the
+    symmetric m x m sums S_ik = sum_j f'_j^2 K_ij K_kj and
+    C_ik = sum_j u'_j f'_j^2 K_ij K_kj, taken together over i <= k.
+    Then B B^T = F S F and Y B Y' B^T = Y F C F."""
+    z = [_to_decimal(v) for v in inp.roots_ket.z]
+    zp = [_to_decimal(v) for v in inp.roots_bra.z]
+    up = [_to_decimal(v) for v in inp.up]
+    f2, fp2 = _squared_weights(inp, eps, z, zp)
+    vp2 = [a * b for a, b in zip(up, fp2)]
+    K = [[1 / (zi - zj) for zj in zp] for zi in z]
+    S = [[None] * inp.m for _ in range(inp.m)]
+    C = [[None] * inp.m for _ in range(inp.m)]
+    for i, row in enumerate(K):
+        row_s = [a * b for a, b in zip(row, fp2)]
+        row_c = [a * b for a, b in zip(row, vp2)]
+        for k in range(i, inp.m):
+            S[i][k] = S[k][i] = sum(map(operator.mul, row_s, K[k]))
+            C[i][k] = C[k][i] = sum(map(operator.mul, row_c, K[k]))
+    return f2, S, C
+
+
+def _gram_residual(f2, S) -> decimal.Decimal:
+    """Largest entry deviation of the Gram B B^T = F S F from the identity:
+    |f_i^2 S_ii - 1| on the diagonal, sqrt|f_i^2 f_k^2| |S_ik| off it."""
+    diag = decimal.Decimal(0)
+    off_sq = decimal.Decimal(0)
+    for i, row in enumerate(S):
+        diag = max(diag, abs(f2[i] * row[i] - 1))
+        for k in range(i + 1, len(row)):
+            off_sq = max(off_sq, abs(f2[i] * f2[k]) * row[k] * row[k])
+    return max(diag, off_sq.sqrt())
+
+
+def _det_in_place(M) -> decimal.Decimal:
+    """Determinant by elimination with partial pivoting in the current
+    decimal context; M (a list of rows) is overwritten.  A column without
+    a nonzero pivot makes the determinant zero, and an empty M gives 1."""
+    det = decimal.Decimal(1)
+    n = len(M)
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(M[r][c]))
+        if not M[p][c]:
+            return decimal.Decimal(0)
+        if p != c:
+            M[c], M[p] = M[p], M[c]
+            det = -det
+        pivot = M[c][c]
+        det *= pivot
+        tail = M[c][c + 1:]
+        for r in range(c + 1, n):
+            factor = M[r][c] / pivot
+            M[r][c + 1:] = [a - factor * b for a, b in zip(M[r][c + 1:], tail)]
+    return det
 
 
 def kernel_orthogonality_residual(inp: FormFactorInput, eps: int = 1):
-    """Orthogonality residual of the Cauchy-kernel matrix of `inp`."""
-    return _orthogonality_residual(inp, _kernel_matrix(inp, eps))
+    """Orthogonality residual of the Cauchy-kernel matrix of `inp`, from
+    the same real computation `dhat_det` certifies with."""
+    with decimal.localcontext(_decimal_context(inp)):
+        f2, S, _ = _real_kernel(inp, eps)
+        resid = _gram_residual(f2, S)
+    return _to_mpf(resid, inp.working)
 
 
 def dhat_det(inp: FormFactorInput, eps: int = 1):
     """Overlap amplitude D as det(1 + Y B Y' B^T) with Y, Y' the diagonal
-    coupling matrices.  The kernel's orthogonality identity is verified
-    first on the same B; a violation means the working precision cannot
-    support the evaluation.  Returns (value, orthogonality_residual)."""
+    coupling matrices and B = F K F' the Cauchy kernel.  No complex
+    number is formed: with the real squares of the weights, Sylvester's
+    identity det(1 + F A F) = det(1 + A F^2) turns the matrix into
+    1 + Y C F^2 (see `_real_kernel`).  The kernel's orthogonality
+    identity B B^T = 1 is verified first from the same sums; a
+    violation means the working precision cannot support the evaluation.
+
+    The sums and the elimination run in stdlib `decimal` at
+    ceil(working * log10 2) + 10 digits, 126 at the default precision;
+    the mpf inputs enter exactly and the results return as mpf at the
+    working precision.  Returns (value, orthogonality_residual)."""
+    with decimal.localcontext(_decimal_context(inp)):
+        f2, S, C = _real_kernel(inp, eps)
+        resid = _gram_residual(f2, S)
+        u = [_to_decimal(v) for v in inp.u]
+        M = [
+            [(i == k) + u[i] * c * f2[k] for k, c in enumerate(row)]
+            for i, row in enumerate(C)
+        ]
+        value = _det_in_place(M)
+    resid = _to_mpf(resid, inp.working)
     with mpmath.workprec(inp.working):
-        B = _kernel_matrix(inp, eps)
-        resid = _orthogonality_residual(inp, B)
         if resid > mpmath.mpf(2) ** (-inp.precision // 2):
             raise OrthogonalityViolationError(
                 "kernel orthogonality residual %s at %d bits"
                 % (mpmath.nstr(resid, 5), inp.precision)
             )
-        if inp.m == 0:
-            return mpmath.mpf(1), resid
-        # Y B Y' with the diagonal factors applied as row and column scales
-        YBY = mpmath.zeros(inp.m, inp.mp)
-        for i in range(inp.m):
-            for j in range(inp.mp):
-                YBY[i, j] = inp.u[i] * B[i, j] * inp.up[j]
-        M = mpmath.eye(inp.m) + YBY * B.T
-        val = mpmath.det(M)
-        return val.real if isinstance(val, mpmath.mpc) else val, resid
+    return _to_mpf(value, inp.working), resid
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Form-factor routes: subset sum, determinant, closed products."""
 
 import dataclasses
+import decimal
 import itertools
 
 import mpmath
@@ -8,8 +9,15 @@ import pytest
 
 from chiralpotts.drinfeld import lambda_counts
 from chiralpotts import combi, formfactor
-from chiralpotts.errors import DomainError, IdentityViolationError, SizeGuardError
+from chiralpotts.errors import (
+    DomainError,
+    IdentityViolationError,
+    OrthogonalityViolationError,
+    SizeGuardError,
+)
 from chiralpotts.formfactor import (
+    ROUTE_TOL,
+    _kernel_matrix,
     couplings,
     dhat_closed,
     dhat_det,
@@ -188,6 +196,121 @@ def test_kernel_orthogonality_small():
             inp = couplings(3, L, Q=Q, P=P, kp="0.4")
             resid = kernel_orthogonality_residual(inp)
             assert resid < mpmath.mpf(10) ** -40
+
+
+def _gram_residual_mpmath(inp):
+    """Largest entry deviation of B B^T from the identity, with B the
+    complex mpmath kernel matrix; couplings keep m <= m', so B B^T is
+    the square of the smaller side."""
+    with mpmath.workprec(inp.working):
+        B = _kernel_matrix(inp)
+        G = B * B.T
+        resid = mpmath.mpf(0)
+        for i in range(inp.m):
+            for k in range(inp.m):
+                resid = max(resid, abs(G[i, k] - (1 if i == k else 0)))
+        return resid
+
+
+def _dhat_det_mpmath(inp):
+    """det(1 + diag(u) B diag(u') B^T) on the complex mpmath kernel."""
+    if inp.m == 0:
+        return mpmath.mpf(1)
+    with mpmath.workprec(inp.working):
+        B = _kernel_matrix(inp)
+        val = mpmath.det(
+            mpmath.eye(inp.m) + mpmath.diag(inp.u) * B * mpmath.diag(inp.up) * B.T
+        )
+        return val.real if isinstance(val, mpmath.mpc) else val
+
+
+@pytest.mark.parametrize(
+    "N, widths", [(2, (3, 8, 12)), (3, (4, 9, 12)), (4, (5, 8, 12)), (5, (4, 8, 12))]
+)
+def test_real_det_matches_complex_mpmath_det(N, widths):
+    # the decimal route against complex mpmath arithmetic on the same kernel
+    for L in widths:
+        for kp in ("0.2", "0.5", "0.8"):
+            for Q, P in itertools.permutations(range(N), 2):
+                inp = couplings(N, L, Q=Q, P=P, kp=kp)
+                value, _ = dhat_det(inp)
+                want = _dhat_det_mpmath(inp)
+                with mpmath.workprec(inp.working):
+                    assert abs(value - want) < mpmath.mpf(10) ** -50 * abs(want), (L, kp, Q, P)
+
+
+def test_real_det_is_blind_to_the_kernel_sign():
+    # eps flips the sign of every squared weight, which cancels in pairs
+    for L, Q, P in ((7, 0, 1), (8, 2, 0), (9, 1, 2)):
+        inp = couplings(3, L, Q=Q, P=P, kp="0.3")
+        assert dhat_det(inp, eps=1) == dhat_det(inp, eps=-1)
+        assert kernel_orthogonality_residual(inp, eps=-1) == dhat_det(inp)[1]
+
+
+def test_real_det_rejects_other_kernel_signs():
+    inp = couplings(3, 5, Q=0, P=1, kp="0.5")
+    for eps in (0, 2):
+        with pytest.raises(ValueError):
+            dhat_det(inp, eps=eps)
+        with pytest.raises(ValueError):
+            kernel_orthogonality_residual(inp, eps=eps)
+
+
+def test_orthogonality_residual_matches_mpmath_gram():
+    for N, L, kp in ((2, 9, "0.7"), (3, 8, "0.4"), (4, 7, "0.5"), (5, 6, "0.2")):
+        for Q, P in _pairs(N):
+            inp = couplings(N, L, Q=Q, P=P, kp=kp)
+            resid = kernel_orthogonality_residual(inp)
+            want = _gram_residual_mpmath(inp)
+            with mpmath.workprec(inp.working):
+                assert want > 0
+                assert abs(resid - want) < mpmath.mpf(10) ** -30 * want, (N, L, Q, P)
+
+
+def test_elimination_without_a_pivot_gives_zero():
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=40)):
+        assert formfactor._det_in_place([[D(0), D(1)], [D(0), D(2)]]) == 0
+        assert formfactor._det_in_place([[D(1), D(2)], [D(4), D(4)]]) == -4
+        assert formfactor._det_in_place([]) == 1
+
+
+def test_real_det_without_ket_roots_is_one():
+    for N, L, Q, P in ((2, 2, 0, 1), (2, 1, 0, 1)):
+        inp = couplings(N, L, Q=Q, P=P, kp="0.5")
+        assert inp.m == 0
+        assert dhat_det(inp) == (1, 0)
+
+
+def test_nudged_bra_root_breaks_orthogonality():
+    # a relative 1e-40 shift of one bra root moves the Gram by about 1e-40,
+    # far above the 2^-160 threshold at 320 bits
+    inp = couplings(3, 7, Q=0, P=1, kp="0.5", precision=320)
+    assert dhat_det(inp)[1] < mpmath.mpf(2) ** -160
+    z = list(inp.roots_bra.z)
+    with mpmath.workprec(inp.working):
+        z[1] *= 1 + mpmath.mpf(10) ** -40
+    nudged = dataclasses.replace(inp, roots_bra=dataclasses.replace(inp.roots_bra, z=tuple(z)))
+    with pytest.raises(OrthogonalityViolationError):
+        dhat_det(nudged)
+    # this nudge shows most in an off-diagonal Gram entry
+    resid = kernel_orthogonality_residual(nudged)
+    want = _gram_residual_mpmath(nudged)
+    with mpmath.workprec(inp.working):
+        assert abs(resid - want) < mpmath.mpf(10) ** -30 * want
+
+
+def test_orthogonality_check_survives_optimize_flag(run_optimized):
+    run_optimized("test_formfactor.py::test_nudged_bra_root_breaks_orthogonality")
+
+
+def test_det_route_reaches_width_120():
+    res = order_param_sq(3, 1, "0.5", 120, method="det")
+    for e in res["per_sector"]:
+        inp = couplings(3, 120, Q=e["Q"], P=e["P"], kp="0.5")
+        with mpmath.workprec(inp.working):
+            assert abs(e["dhat"] - dhat_closed(inp)) < ROUTE_TOL, (e["Q"], e["P"])
+            assert e["orthogonality_residual"] < mpmath.mpf(2) ** -96
 
 
 def test_overlap_product_identity_both_gaps():
