@@ -352,8 +352,7 @@ def kernel_orthogonality_residual(inp: FormFactorInput, eps: int = 1):
     the same real computation `dhat_det` certifies with."""
     with decimal.localcontext(_decimal_context(inp)):
         f2, S, _ = _real_kernel(inp, eps)
-        resid = _gram_residual(f2, S)
-    return _to_mpf(resid, inp.working)
+        return _to_mpf(_gram_residual(f2, S), inp.working)
 
 
 def dhat_det(inp: FormFactorInput, eps: int = 1):
@@ -371,20 +370,19 @@ def dhat_det(inp: FormFactorInput, eps: int = 1):
     working precision.  Returns (value, orthogonality_residual)."""
     with decimal.localcontext(_decimal_context(inp)):
         f2, S, C = _real_kernel(inp, eps)
-        resid = _gram_residual(f2, S)
+        resid = _to_mpf(_gram_residual(f2, S), inp.working)
+        with mpmath.workprec(inp.working):
+            if resid > mpmath.mpf(2) ** (-inp.precision // 2):
+                raise OrthogonalityViolationError(
+                    "kernel orthogonality residual %s at %d bits"
+                    % (mpmath.nstr(resid, 5), inp.precision)
+                )
         u = [_to_decimal(v) for v in inp.u]
         M = [
             [(i == k) + u[i] * c * f2[k] for k, c in enumerate(row)]
             for i, row in enumerate(C)
         ]
         value = _det_in_place(M)
-    resid = _to_mpf(resid, inp.working)
-    with mpmath.workprec(inp.working):
-        if resid > mpmath.mpf(2) ** (-inp.precision // 2):
-            raise OrthogonalityViolationError(
-                "kernel orthogonality residual %s at %d bits"
-                % (mpmath.nstr(resid, 5), inp.precision)
-            )
     return _to_mpf(value, inp.working), resid
 
 
