@@ -535,8 +535,7 @@ def correlate(n, width, kp, offset, ell, out, fmt):
     csv_rows = []
     for q in range(n):
         p = (q - offset) % n
-        forward = spectra[q].left[0] @ spectra[p].right
-        backward = spectra[p].left @ spectra[q].right[:, 0]
+        forward, backward = lattice.spectral_overlaps(spectra, q, p)
         weights = (forward * backward).real
         moduli = abs(spectra[p].eigenvalues)
         for j in range(spectra[p].dim):

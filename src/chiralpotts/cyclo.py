@@ -401,9 +401,6 @@ class CycPoly:
             e >>= 1
         return result
 
-    def truncate(self, max_degree: int) -> CycPoly:
-        return CycPoly(self.order, self.coeffs[: max_degree + 1])
-
     def evaluate(self, x: CycNum) -> CycNum:
         acc = CycNum.zero(self.order)
         for c in reversed(self.coeffs):

@@ -14,12 +14,13 @@ eigen-residual) and must be its dominant one (an Arnoldi run from a
 fixed random start has to land on g).  This route is capped by memory,
 not by the dense dimension cap.
 
-The correlation route needs the whole spectrum.  The two row transfer
-matrices are assembled densely from Boltzmann-weight products,
-Fourier-transformed over the leading spin into charge blocks, and the
-product block is diagonalized densely with separate left and right
-eigenvector systems; the finite-separation pair correlation is a sum
-over that biorthogonal spectrum.
+The correlation route needs the whole spectrum.  The dense layers of
+the two row transfer matrices come from the same site-local ring
+contraction as the certificate, applied to one unit vector per edge
+class; they are Fourier-transformed over the leading spin into charge
+blocks, and the product block is diagonalized densely with separate
+left and right eigenvector systems; the finite-separation pair
+correlation is a sum over that biorthogonal spectrum.
 
 All arithmetic is float64/complex128; the observables compared against
 the high-precision route carry comfortably more headroom than the 1e-8
@@ -28,7 +29,7 @@ agreement targets.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -330,14 +331,6 @@ def _edge_classes(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     return edge_index(N, edges), spins[:, 0]
 
 
-def _prefix_sums(configs: np.ndarray, N: int) -> np.ndarray:
-    """Partial sums n_1 + ... + n_{J-1} per site J, reduced mod N."""
-    dim, L = configs.shape
-    sums = np.zeros((dim, L), dtype=np.int64)
-    np.cumsum(configs[:, : L - 1], axis=1, out=sums[:, 1:])
-    return sums % N
-
-
 # ---------------------------------------------------------------------------
 # transfer matrices
 
@@ -369,46 +362,55 @@ class SectorMatrix:
         return self.op.toarray()
 
 
-_LAYER_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_LAYER_CACHE_SIZE = 32
 _PRODUCT_CHECKED: set[tuple] = set()
 
 
+def _site_kernel(N: int, q: RapidityPoint) -> np.ndarray:
+    """kernel[t, b, c] = W(b - t) Wbar(c - t), the one-site factor of T
+    (upper spin t over lower spins b and c), with the weights between the
+    rank-N superintegrable point and q."""
+    w, wbar = boltzmann_weights(superintegrable_point(N, q.kp), q)
+    s = np.arange(N)
+    return w[(s[None, :, None] - s[:, None, None]) % N] * wbar[
+        (s[None, None, :] - s[:, None, None]) % N
+    ]
+
+
+@functools.lru_cache(maxsize=32)
 def _transfer_layers(q: RapidityPoint, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Shift-resolved layers T(m) and That(m) of both transfer matrices.
 
-    Entry [m, i, i'] of the first array is the spin-basis transfer element
-    between any two rows whose edge configurations have flat indices i'
-    (bra) and i (ket) and whose leading spins differ by m = sigma_1 -
-    sigma'_1; the second array is the conjugate-lattice analogue.  Charge
-    blocks are Fourier combinations over m, so the layers are cached and
-    shared across sectors.
+    Entry [m, i, j] of the first array is the spin-basis element of T
+    from a ket row of edge class j and leading spin m to a bra row of edge
+    class i and leading spin 0; the second array is the same for That.
+    Charge blocks are Fourier combinations over m, so the layers are
+    cached and shared across sectors.  The ring of `_ring_apply` maps the
+    unit vector of the sigma_1 = 0 row of class j to column j of T; by
+    shift invariance its row of class i and leading spin -m is entry
+    [m, i, j], and That reads the same image after the one-site output
+    translation of `sector_product_operator`.  Columns go N^(L-4) at a
+    time, and at least N, so the ring's work tensor (N^(L+1) numbers per
+    column) stays within one layer from L = 4 on.
     """
-    key = (q.N, L, q.kp, q.x, q.y, q.mu)
-    cached = _LAYER_CACHE.get(key)
-    if cached is not None:
-        _LAYER_CACHE.move_to_end(key)
-        return cached
     N = q.N
-    p = superintegrable_point(N, q.kp)
-    w, wbar = boltzmann_weights(p, q)
     dim = edge_dim(N, L)
-    configs = edge_configs(N, L)
-    prefix = _prefix_sums(configs, N)
+    kernel = _site_kernel(N, q)
+    flat, lead = _edge_classes(N, L)
+    zero = np.flatnonzero(lead == 0)
+    kets = zero[np.argsort(flat[zero])]
+    # row of each image entry in the layers stacked as (N dim, dim)
+    dest = (-lead % N) * dim + flat
     layers = np.empty((N, dim, dim), dtype=complex)
     layers_hat = np.empty((N, dim, dim), dtype=complex)
-    for row in range(dim):
-        # delta[J] = prefix(ket column) - prefix(bra row), per column.
-        delta = prefix - prefix[row]
-        for m in range(N):
-            shift = (m - delta) % N
-            layers[m, row, :] = (w[shift] * wbar[(shift - configs) % N]).prod(axis=1)
-            layers_hat[m, row, :] = (
-                wbar[shift] * w[(shift + configs[row]) % N]
-            ).prod(axis=1)
-    _LAYER_CACHE[key] = (layers, layers_hat)
-    if len(_LAYER_CACHE) > _LAYER_CACHE_SIZE:
-        _LAYER_CACHE.popitem(last=False)
+    batch = N ** max(L - 4, 1)
+    for start in range(0, dim, batch):
+        cols = slice(start, start + batch)
+        units = np.zeros((N**L, len(kets[cols])), dtype=complex)
+        units[kets[cols], np.arange(units.shape[1])] = 1.0
+        image = _ring_apply(kernel, units, N, L)
+        layers.reshape(N * dim, dim)[dest, cols] = image
+        translated = image.reshape(N, dim, -1).swapaxes(0, 1).reshape(image.shape)
+        layers_hat.reshape(N * dim, dim)[dest, cols] = translated
     return layers, layers_hat
 
 
@@ -636,24 +638,27 @@ def ground_state(N: int, L: int, Q: int, kp: float) -> GroundState:
 
 def _ring_apply(kernel: np.ndarray, u: np.ndarray, N: int, L: int) -> np.ndarray:
     """out[tau] = sum_sigma prod_j kernel[tau_j, sigma_j, sigma_(j+1)] u[sigma]
-    over spin rows in `digit_rows` order, with sigma_(L+1) = sigma_1.
+    over spin rows in `digit_rows` order, with sigma_(L+1) = sigma_1.  Any
+    trailing axes of u are a batch: each column is contracted on its own.
 
     The sites are contracted one at a time, sigma_j -> tau_j, keeping
     sigma_(j+1) for the next step.  The ring is closed by keeping sigma_1
     as an auxiliary batch axis until the last site needs it, so every
-    step works on N^(L+1) numbers.  The work tensor holds, slowest first,
-    the auxiliary spin, the two spins of the next step, the finished taus
-    (latest first) and the untouched spins; each step is one batched
-    matrix product followed by moving the next spin up front.
+    step works on N^(L+1) numbers per column.  The work tensor holds,
+    slowest first, the auxiliary spin, the two spins of the next step, the
+    finished taus (latest first), the untouched spins and the batch; each
+    step is one batched matrix product followed by moving the next spin up
+    front.
     """
     if L == 1:
-        return np.einsum("tss,s->t", kernel, u)
-    sites = u.reshape((N,) * L, order="F")  # axis k holds sigma_(k+1)
+        return np.einsum("tss,s...->t...", kernel, u)
+    # axis k holds sigma_(k+1), the last the flattened batch
+    sites = u.reshape(N**L, -1).reshape((N,) * L + (-1,), order="F")
     first = kernel.transpose(1, 2, 0)  # [a, n, t] = kernel[t, a, n]
     if L == 2:
-        y = first * sites[:, :, None]
+        y = first[..., None] * sites[:, :, None, :]
     else:
-        order = (0, 2, 1) + tuple(range(3, L))
+        order = (0, 2, 1) + tuple(range(3, L + 1))
         y = first[:, None, :, :, None] * sites.transpose(order).reshape(N, N, N, 1, -1)
     step = kernel.transpose(2, 0, 1)  # [n, t, s] = kernel[t, s, n]
     for j in range(2, L):
@@ -661,7 +666,7 @@ def _ring_apply(kernel: np.ndarray, u: np.ndarray, N: int, L: int) -> np.ndarray
         if j < L - 1:
             y = y.reshape(N, N, N**j, N, -1).transpose(0, 3, 1, 2, 4)
     last = kernel.transpose(0, 2, 1).reshape(N, N * N)  # [t, (a, s)]
-    return (last @ y.reshape(N * N, -1)).ravel()
+    return (last @ y.reshape(N * N, -1)).reshape(u.shape)
 
 
 def sector_product_operator(
@@ -671,13 +676,12 @@ def sector_product_operator(
 
     The spin-basis matrices of `spin_transfer` factor over the sites:
     T[s', s] = prod_j W(s_j - s'_j) Wbar(s_(j+1) - s'_j) is the ring of
-    `_ring_apply` with kernel[t, b, c] = W(b - t) Wbar(c - t), and That is
-    the same ring followed by a one-site translation of the output row
-    (its bra spin s''_(j+1) takes the factors of tau_j).  A sector vector
-    is lifted to the spin basis with phases omega^(-Q sigma_1), both
-    operators are applied there, and the rows with sigma_1 = 0, one per
-    edge class, are read back, as in the sector check of
-    `build_sector_transfer`.
+    `_ring_apply` with the kernel of `_site_kernel`, and That is the same
+    ring followed by a one-site translation of the output row (its bra
+    spin s''_(j+1) takes the factors of tau_j).  A sector vector is lifted
+    to the spin basis with phases omega^(-Q sigma_1), both operators are
+    applied there, and the rows with sigma_1 = 0, one per edge class, are
+    read back, as in the sector check of `build_sector_transfer`.
 
     Raises:
         SizeGuardError: the sparse route's estimated bytes above the cap.
@@ -686,11 +690,7 @@ def sector_product_operator(
     if not 0 <= Q < N:
         raise ValueError(f"sector index Q={Q} outside [0, {N})")
     _check_sparse_bytes(N, L)
-    w, wbar = boltzmann_weights(superintegrable_point(N, q.kp), q)
-    s = np.arange(N)
-    kernel = w[(s[None, :, None] - s[:, None, None]) % N] * wbar[
-        (s[None, None, :] - s[:, None, None]) % N
-    ]
+    kernel = _site_kernel(N, q)
     flat, lead = _edge_classes(N, L)
     phases = np.exp(2j * np.pi / N) ** (-(lead * Q) % N)
     rows = np.flatnonzero(lead == 0)
@@ -718,6 +718,20 @@ class TransferCertificate:
 
     eigen_residual: float
     dominance: float
+
+
+def _dominance(lead: np.ndarray, ground: np.ndarray, where: str) -> float:
+    """1 - |cos| between a dominant transfer vector and the normalised chain
+    ground state; EigenbasisMismatchError above EIGENBASIS_TOL."""
+    cosine = abs(np.vdot(lead, ground)) / np.linalg.norm(lead)
+    dominance = float(1.0 - cosine)
+    if not dominance <= EIGENBASIS_TOL:
+        raise EigenbasisMismatchError(
+            f"dominant transfer eigenvector deviates from the chain "
+            f"ground state by 1 - |cos| = {dominance:.3e} {where}"
+        )
+    # rounding can put |cos| a few ulps above 1
+    return max(0.0, dominance)
 
 
 def certify_ground_state(state: GroundState, q: RapidityPoint) -> TransferCertificate:
@@ -767,15 +781,9 @@ def certify_ground_state(state: GroundState, q: RapidityPoint) -> TransferCertif
                 f"Arnoldi found no isolated dominant transfer eigenvalue {where}"
             ) from exc
         lead = vectors[:, 0]
-    # rounding can put |cos| a few ulps above 1
-    cosine = abs(np.vdot(lead, ground)) / np.linalg.norm(lead)
-    dominance = max(0.0, float(1.0 - cosine))
-    if not dominance <= EIGENBASIS_TOL:
-        raise EigenbasisMismatchError(
-            f"dominant transfer eigenvector deviates from the chain "
-            f"ground state by 1 - |cos| = {dominance:.3e} {where}"
-        )
-    return TransferCertificate(eigen_residual=residual, dominance=dominance)
+    return TransferCertificate(
+        eigen_residual=residual, dominance=_dominance(lead, ground, where)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -864,14 +872,7 @@ def sector_spectrum(block: SectorMatrix, pair: SectorMatrix) -> SectorSpectrum:
             f"biorthonormality residual {biorth:.3e} in sector Q={block.Q}"
         )
     ground = ground_state(block.N, block.L, block.Q, block.kp).vector
-    lead = right[:, 0]
-    cosine = abs(np.vdot(ground, lead)) / np.linalg.norm(lead)
-    if not 1.0 - cosine <= EIGENBASIS_TOL:
-        raise EigenbasisMismatchError(
-            f"dominant transfer eigenvector deviates from the chain "
-            f"ground state by 1 - |cos| = {1.0 - cosine:.3e} "
-            f"in sector Q={block.Q} (N={block.N}, L={block.L})"
-        )
+    _dominance(right[:, 0], ground, f"in sector Q={block.Q} (N={block.N}, L={block.L})")
     return SectorSpectrum(
         N=block.N,
         L=block.L,
@@ -1016,13 +1017,16 @@ def pair_correlation(
     total = 0.0 + 0.0j
     for Q in range(N):
         P = (Q - r) % N
-        spec_q = spectra[Q]
-        spec_p = spectra[P]
-        forward = spec_q.left[0] @ spec_p.right
-        backward = spec_p.left @ spec_q.right[:, 0]
-        ratios = spec_p.eigenvalues / spec_p.eigenvalues[0]
+        forward, backward = spectral_overlaps(spectra, Q, P)
+        ratios = spectra[P].eigenvalues / spectra[P].eigenvalues[0]
         total += np.sum(ratios**ell * forward * backward)
     return float(total.real) / N
+
+
+def spectral_overlaps(spectra: list[SectorSpectrum], Q: int, P: int) -> tuple:
+    """forward[j] = l_Q . r^P_j and backward[j] = l^P_j . r_Q for every level
+    j of sector P; their product is its weight in the pair correlation."""
+    return spectra[Q].left[0] @ spectra[P].right, spectra[P].left @ spectra[Q].right[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -1070,20 +1074,6 @@ class DiagnosticsReport:
     partition_powers: tuple[int, ...]
     partition_sector_max: tuple[float, ...]
     partition_degenerate: tuple[float, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "L": self.L,
-            "kp": self.kp,
-            "gaps": list(self.gaps),
-            "max_abs_gap": self.max_abs_gap,
-            "tt_commutators": list(self.tt_commutators),
-            "th_commutators": list(self.th_commutators),
-            "partition_powers": list(self.partition_powers),
-            "partition_sector_max": list(self.partition_sector_max),
-            "partition_degenerate": list(self.partition_degenerate),
-        }
 
 
 def diagnostics(

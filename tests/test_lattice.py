@@ -299,6 +299,73 @@ def test_sector_index_validation():
 
 
 # ---------------------------------------------------------------------------
+# shift-resolved layers from the ring contraction
+
+
+def _prefix_sums(configs: np.ndarray, N: int) -> np.ndarray:
+    """Partial sums n_1 + ... + n_{J-1} per site J, reduced mod N."""
+    dim, L = configs.shape
+    sums = np.zeros((dim, L), dtype=np.int64)
+    np.cumsum(configs[:, : L - 1], axis=1, out=sums[:, 1:])
+    return sums % N
+
+
+def loop_transfer_layers(q: RapidityPoint, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The layers built one bra row at a time as Boltzmann-weight products
+    over prefix sums of the edge digits: the builder the ring contraction
+    replaced, kept as its oracle."""
+    N = q.N
+    p = superintegrable_point(N, q.kp)
+    w, wbar = boltzmann_weights(p, q)
+    dim = edge_dim(N, L)
+    configs = edge_configs(N, L)
+    prefix = _prefix_sums(configs, N)
+    layers = np.empty((N, dim, dim), dtype=complex)
+    layers_hat = np.empty((N, dim, dim), dtype=complex)
+    for row in range(dim):
+        # delta[J] = prefix(ket column) - prefix(bra row), per column.
+        delta = prefix - prefix[row]
+        for m in range(N):
+            shift = (m - delta) % N
+            layers[m, row, :] = (w[shift] * wbar[(shift - configs) % N]).prod(axis=1)
+            layers_hat[m, row, :] = (
+                wbar[shift] * w[(shift + configs[row]) % N]
+            ).prod(axis=1)
+    return layers, layers_hat
+
+
+@pytest.mark.parametrize(
+    "N, L",
+    [(2, 1), (3, 1), (2, 2), (3, 2), (4, 3), (5, 3), (2, 9), (3, 6), (4, 5), (2, 11), (3, 7)],
+)
+def test_ring_layers_equal_row_loop(N, L):
+    q = physical_point(N, 0.5)
+    got = lattice._transfer_layers(q, L)
+    for layers, expected in zip(got, loop_transfer_layers(q, L)):
+        assert layers.shape == expected.shape
+        assert np.max(np.abs(layers - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("N, L", [(2, 1), (2, 2), (3, 2), (2, 5), (3, 4), (4, 3)])
+def test_batched_ring_equals_column_applies(N, L):
+    kernel = lattice._site_kernel(N, physical_point(N, 0.5))
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal((N**L, 2, 3)) + 1j * rng.standard_normal((N**L, 2, 3))
+    got = lattice._ring_apply(kernel, u, N, L)
+    assert got.shape == u.shape
+    for a in range(2):
+        for b in range(3):
+            column = lattice._ring_apply(kernel, u[:, a, b].copy(), N, L)
+            assert np.max(np.abs(got[:, a, b] - column)) <= 1e-14 * np.max(np.abs(column))
+
+
+def test_product_spectra_build_the_layers_once():
+    lattice._transfer_layers.cache_clear()
+    product_spectra(3, 4, 0.5)
+    assert lattice._transfer_layers.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
 # Hamiltonian
 
 
@@ -575,7 +642,7 @@ def test_diagnostics_residuals_and_dominance():
     assert devs[-1] < 1e-9
     # degenerate-form ratio dips toward zero before sector splitting
     assert min(abs(d) for d in rep.partition_degenerate) < 5e-2
-    json.dumps(rep.as_dict())
+    json.dumps(dataclasses.asdict(rep))
 
 
 def test_diagnostics_gap_shrinks_with_width():
