@@ -6,8 +6,11 @@ driven by the left partial sums of the configuration; the dual function
 gbar(t) uses right partial sums.  Summing the coefficient products of
 gbar and g over all configurations with total N builds an integer matrix
 (the overlap table) whose entries factor into products of level
-degeneracies.  The three check routines at the bottom verify that
-factorization and the polynomial exchange identities behind it, exactly.
+degeneracies.  The table and the exchange kernels of the appendix are
+both built by left-to-right site transfers over integer vectors in
+Z[omega], never by listing configurations.  The three check routines at
+the bottom verify that factorization and the polynomial exchange
+identities behind it, exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from typing import Iterator
 from .cyclo import CycNum, CycPoly, gauss_binom, pochhammer
 from .errors import CountingInvariantError, SizeGuardError
 
+# Largest number of total-N configurations an overlap table may sum over.
+# The transfer does not visit them one by one; the bound on their count
+# still decides which sizes are refused (exit 3).
 ENUM_GUARD = 10**7
 # Entries per memoized table; one exact suite reads one overlap table and
 # at most N + 1 exchange tables per size.
@@ -134,24 +140,6 @@ def _gen_poly(config: EdgeConfig, sums: tuple[int, ...]) -> CycPoly:
     return poly
 
 
-def k_coeffs(
-    config: EdgeConfig, max_degree: int | None = None
-) -> tuple[list[CycNum], list[CycNum]]:
-    """Coefficient lists (K, Kbar) of the weight generating function and
-    its dual, up to max_degree inclusive (default: the full degree)."""
-    top = config.max_degree
-    if max_degree is None:
-        max_degree = top
-    if not 0 <= max_degree <= top:
-        raise ValueError("max_degree must lie in [0, %d]" % top)
-    g = _gen_poly(config, config.left_sums)
-    gbar = _gen_poly(config, config.right_sums)
-    return (
-        [g.coeff(m) for m in range(max_degree + 1)],
-        [gbar.coeff(m) for m in range(max_degree + 1)],
-    )
-
-
 def gen_function_pair(config: EdgeConfig) -> tuple[CycPoly, CycPoly]:
     """(definition, closed form) of the weight generating function for a
     configuration of total N.  The definition multiplies the per-site
@@ -209,11 +197,17 @@ class GTable:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def calG_table(N: int, L: int) -> GTable:
-    """Build the full overlap table by exact enumeration, once per (N, L).
+    """Build the full overlap table once per (N, L), by a left-to-right
+    site transfer over its definition.
 
-    Checks integrality of every entry (each is a rational integer even
-    though the summands are cyclotomic), the number of configurations
-    visited and the symmetry of the table."""
+    The states are (prefix total p, degree of gbar, degree of g), each
+    holding an integer vector in Z[y]/(y^N - 1), y = omega.  A site with
+    value n multiplies by gbar's factor sum_d [n+d choose d] omega^(d r) s^d,
+    where r = N - p - n is its right sum once the total is N, and then by
+    g's factor with phase p; the entries are the p = N states.  Checks
+    integrality of every entry (each is a rational integer even though
+    the summands are cyclotomic), the number of configurations the
+    transfer reaches against `level_counts` and the symmetry of the table."""
     dim = (N - 1) * L - N + 1
     if dim < 1:
         raise ValueError("L is too small for total N")
@@ -222,26 +216,44 @@ def calG_table(N: int, L: int) -> GTable:
         raise SizeGuardError(
             "overlap table needs %d configurations (guard %d)" % (n_configs, ENUM_GUARD)
         )
-    order = 2 * N
-    acc = [[CycNum.zero(order) for _ in range(dim)] for _ in range(dim)]
-    seen = 0
-    for n in compositions(N, L, N - 1):
-        config = EdgeConfig(N, L, n)
-        K, Kbar = k_coeffs(config)
-        for a in range(dim):
-            ka = Kbar[a]
-            if ka.is_zero():
-                continue
-            row = acc[a]
-            for b in range(dim):
-                if not K[b].is_zero():
-                    row[b] = row[b] + ka * K[b]
-        seen += 1
-    if seen != n_configs:
+    binom = _omega_binomials(N)
+    # factor[n][phase][d] = [n+d choose d] omega^(d phase), zero once n + d >= N
+    factor = [
+        [[_rotate(binom[n + d][d], d * phase) for d in range(N - n)] for phase in range(N)]
+        for n in range(N)
+    ]
+    states: dict[tuple[int, int, int], list[int]] = {(0, 0, 0): [1] + [0] * (N - 1)}
+    paths = [1] + [0] * N  # prefixes of each total p
+    for site in range(L):
+        # the sites after this one must be able to fill the total up to N
+        room = (N - 1) * (L - 1 - site)
+        values = [range(max(0, N - p - room), min(N - 1, N - p) + 1) for p in range(N + 1)]
+        # gbar's factor first, into states that remember n, then g's: one
+        # vector product per factor term instead of one per pair of terms
+        half: dict[tuple[int, int, int, int], list[int]] = {}
+        for (p, a, b), vec in states.items():
+            for n in values[p]:
+                for d, f in enumerate(factor[n][(N - p - n) % N]):
+                    _add_term(half, (p, n, a + d, b), _cyclic_mul(vec, f) if d else vec)
+        states = {}
+        for (p, n, a, b), vec in half.items():
+            for d, f in enumerate(factor[n][p % N]):
+                _add_term(states, (p + n, a, b + d), _cyclic_mul(vec, f) if d else vec)
+        reached = [0] * (N + 1)
+        for p, count in enumerate(paths):
+            for n in values[p]:
+                reached[p + n] += count
+        paths = reached
+    if paths[N] != n_configs:
         raise CountingInvariantError(
-            "enumerated %d configurations of total %d, counted %d" % (seen, N, n_configs)
+            "transfer reached %d configurations of total %d, counted %d"
+            % (paths[N], N, n_configs)
         )
-    entries = tuple(tuple(acc[a][b].as_int() for b in range(dim)) for a in range(dim))
+    acc = [[0] * dim for _ in range(dim)]
+    for (p, a, b), vec in states.items():
+        if p == N:
+            acc[a][b] = _in_zeta(vec).as_int()
+    entries = tuple(map(tuple, acc))
     for a in range(dim):
         for b in range(a):
             if entries[a][b] != entries[b][a]:
@@ -314,13 +326,7 @@ def _exchange_transfer(
                         if li >= N - ni:
                             continue
                         term = _cyclic_mul(by_mu, lam_weight[ni][li]) if ni else by_mu
-                        key = (mp + mi, lp + li, np_ + ni)
-                        acc = new.get(key)
-                        if acc is None:
-                            new[key] = list(term)
-                        else:
-                            for t in range(N):
-                                acc[t] += term[t]
+                        _add_term(new, (mp + mi, lp + li, np_ + ni), term)
         states = new
     return {(M, T, n): _rotate(vec, n * T) for (M, T, n), vec in states.items()}
 
@@ -359,6 +365,17 @@ def exchange_sums(
     for (_, _, n), vec in _exchange_transfer(N, sites, sum(mu)).items():
         kernels[n] = _in_zeta(vec)
     return tuple(kernels)
+
+
+def _add_term(acc: dict, key, term) -> None:
+    """acc[key] += term for integer vectors in Z[y]/(y^N - 1); a new key
+    takes a copy, so the caller may pass a vector it still holds."""
+    vec = acc.get(key)
+    if vec is None:
+        acc[key] = list(term)
+    else:
+        for t, v in enumerate(term):
+            vec[t] += v
 
 
 def _rotate(vec, e: int) -> tuple[int, ...]:

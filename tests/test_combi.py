@@ -5,8 +5,10 @@ itertools.product, independent of the per-site polynomial product used in
 the implementation.  The exchange-kernel oracles are two recursions over
 the n_i, one with prefix sums and one with suffix sums, independent of
 the site transfer in `combi`; the correction oracle sums the first over
-every configuration pair.  The small overlap-table values were worked out
-by hand (L = 4, two-state case) and are frozen."""
+every configuration pair.  The overlap-table oracle enumerates every
+configuration of total N and multiplies its generating functions,
+independent of the table's site transfer.  The small overlap-table
+values were worked out by hand (L = 4, two-state case) and are frozen."""
 
 import functools
 import itertools
@@ -24,13 +26,12 @@ from chiralpotts.combi import (
     gen_function_pair,
     ibi_check,
     identity_check,
-    k_coeffs,
     lambda_block,
     level_counts,
     uqp_check,
 )
 from chiralpotts.cyclo import CycNum, gauss_binom
-from chiralpotts.errors import SizeGuardError
+from chiralpotts.errors import CountingInvariantError, SizeGuardError
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +59,44 @@ def k_coeffs_enum(config: EdgeConfig, max_degree: int):
         K[degree] = K[degree] + w
         Kbar[degree] = Kbar[degree] + wbar
     return K, Kbar
+
+
+def k_coeffs(
+    config: EdgeConfig, max_degree: int | None = None
+) -> tuple[list[CycNum], list[CycNum]]:
+    """Coefficient lists (K, Kbar) of the weight generating function and
+    its dual, up to max_degree inclusive (default: the full degree)."""
+    top = config.max_degree
+    if max_degree is None:
+        max_degree = top
+    if not 0 <= max_degree <= top:
+        raise ValueError("max_degree must lie in [0, %d]" % top)
+    g = combi._gen_poly(config, config.left_sums)
+    gbar = combi._gen_poly(config, config.right_sums)
+    return (
+        [g.coeff(m) for m in range(max_degree + 1)],
+        [gbar.coeff(m) for m in range(max_degree + 1)],
+    )
+
+
+def calG_table_enum(N: int, L: int) -> tuple[tuple[int, ...], ...]:
+    """The overlap table's entries by enumerating every configuration of
+    total N and multiplying its coefficient lists."""
+    dim = (N - 1) * L - N + 1
+    order = 2 * N
+    acc = [[CycNum.zero(order) for _ in range(dim)] for _ in range(dim)]
+    for n in compositions(N, L, N - 1):
+        config = EdgeConfig(N, L, n)
+        K, Kbar = k_coeffs(config)
+        for a in range(dim):
+            ka = Kbar[a]
+            if ka.is_zero():
+                continue
+            row = acc[a]
+            for b in range(dim):
+                if not K[b].is_zero():
+                    row[b] = row[b] + ka * K[b]
+    return tuple(tuple(acc[a][b].as_int() for b in range(dim)) for a in range(dim))
 
 
 def all_configs(N, L):
@@ -302,6 +341,29 @@ def test_table_against_exchange_kernel():
                         acc = acc + exchange_sum(N, mu, lam, N)
                 assert acc.as_int() == table.entry(a, b), (N, L, a, b)
                 assert exchange_table(N, L, N)[a + N][b] == acc, (N, L, a, b)
+
+
+@pytest.mark.parametrize("N, L", [
+    (N, L) for N, top in [(2, 10), (3, 8), (4, 7), (5, 6), (6, 5)] for L in range(2, top + 1)
+])
+def test_table_transfer_matches_enumeration(N, L):
+    table = calG_table(N, L)
+    assert table.entries == calG_table_enum(N, L)
+    assert table.n_configs == len(_configs_with_total(N, L, N))
+
+
+def test_table_counts_its_configurations(monkeypatch):
+    counts = list(level_counts(3, 4))
+    counts[3] += 1
+    monkeypatch.setattr(combi, "level_counts", lambda N, L: tuple(counts))
+    with pytest.raises(CountingInvariantError):
+        calG_table.__wrapped__(3, 4)
+
+
+def test_table_rejects_too_small_width():
+    for N, L in [(2, 1), (3, 1), (4, 1)]:
+        with pytest.raises(ValueError):
+            calG_table(N, L)
 
 
 def test_table_is_built_once_per_size():
