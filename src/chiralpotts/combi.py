@@ -8,20 +8,22 @@ gbar and g over all configurations with total N builds an integer matrix
 (the overlap table) whose entries factor into products of level
 degeneracies.  The table and the exchange kernels of the appendix are
 both built by left-to-right site transfers over integer vectors in
-Z[omega], never by listing configurations.  The three check routines at
-the bottom verify that factorization and the polynomial exchange
-identities behind it, exactly.
+Z[omega], never by listing configurations; the generating functions and
+the alternating-sum polynomials are products on the same vectors, over
+zeta where omega^(1/2) appears.  The three check routines at the bottom
+verify that factorization and the polynomial exchange identities behind
+it, exactly, each coefficient compared in canonical form in Z[zeta].
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
 
-from .cyclo import CycNum, CycPoly, gauss_binom, pochhammer
+from .cyclo import CycNum, gauss_binom, times_binomial, times_geometric
 from .errors import CountingInvariantError, SizeGuardError
 
 # Largest number of total-N configurations an overlap table may sum over.
@@ -37,23 +39,7 @@ SAMPLE_SEED = 0x5EED
 
 
 # ---------------------------------------------------------------------------
-# configuration enumeration
-
-
-def compositions(total: int, length: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `length` entries in [0, max_part] summing to `total`,
-    in lexicographic order."""
-    if total < 0:
-        return
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    lo = max(0, total - max_part * (length - 1))
-    hi = min(max_part, total)
-    for first in range(lo, hi + 1):
-        for rest in compositions(total - first, length - 1, max_part):
-            yield (first,) + rest
+# level counts
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -124,50 +110,40 @@ class EdgeConfig:
         return (self.N - 1) * self.L - self.total
 
 
-def _site_factor(N: int, n_j: int, phase: int) -> CycPoly:
-    """sum_{n'=0}^{N-1-n_j} [n_j + n' choose n'] (omega^phase t)^n'."""
-    order = 2 * N
-    coeffs = []
-    for np_ in range(N - n_j):
-        coeffs.append(gauss_binom(n_j + np_, np_, N) * CycNum.omega_pow(np_ * phase, order))
-    return CycPoly(order, coeffs)
-
-
-def _gen_poly(config: EdgeConfig, sums: tuple[int, ...]) -> CycPoly:
-    poly = CycPoly.one(2 * config.N)
-    for n_j, phase in zip(config.n, sums):
-        poly = poly * _site_factor(config.N, n_j, phase)
-    return poly
-
-
-def gen_function_pair(config: EdgeConfig) -> tuple[CycPoly, CycPoly]:
+def gen_function_pair(config: EdgeConfig) -> tuple[tuple[CycNum, ...], tuple[CycNum, ...]]:
     """(definition, closed form) of the weight generating function for a
-    configuration of total N.  The definition multiplies the per-site
-    binomial factors; the closed form expands
+    configuration of total N, as CycNum coefficients with trailing zeros
+    trimmed.  The definition multiplies the per-site binomial factors
+    sum_d [n_j + d choose d] (omega^(left_sum_j) t)^d; the closed form
+    expands
 
         (1 - t^N)^(L-1) / prod_j (1 - t omega^(left_sum_j))
 
-    as a truncated power series.  Both are polynomials of degree
-    (N-1)L - N and must agree coefficient by coefficient."""
+    as a power series truncated at degree (N-1)L - N, the degree of the
+    definition.  Both are built on integer vectors over omega and must
+    agree coefficient by coefficient in Z[zeta]."""
     N, L = config.N, config.L
     if config.total != N:
         raise ValueError("closed form needs a configuration of total N")
-    order = 2 * N
-    definition = _gen_poly(config, config.left_sums)
     top = (N - 1) * L - N
+    binom = _omega_binomials(N)
+    definition = [[1] + [0] * (N - 1)]
+    for n_j, phase in zip(config.n, config.left_sums):
+        factor = [_rotate(binom[n_j + d][d], d * phase) for d in range(N - n_j)]
+        product = [[0] * N for _ in range(min(len(definition) + len(factor) - 1, top + 1))]
+        for i, vec in enumerate(definition):
+            for d, f in enumerate(factor[: len(product) - i]):
+                dst = product[i + d]
+                for t, v in enumerate(_cyclic_mul(vec, f) if d else vec):
+                    dst[t] += v
+        definition = product
 
-    one = CycNum.integer(1, order)
-    numer = CycPoly(order, (one,) + (CycNum.zero(order),) * (N - 1) + (-one,))
-    closed = CycPoly.one(order)
-    for _ in range(L - 1):
-        closed = closed.mul(numer, max_degree=top)
+    closed = [[0] * N for _ in range(top + 1)]
+    for i in range(min(L - 1, top // N) + 1):
+        closed[i * N][0] = (-1) ** i * math.comb(L - 1, i)
     for phase in config.left_sums:
-        # 1 / (1 - t omega^phase) = sum_k omega^(k*phase) t^k
-        series = CycPoly(
-            order, tuple(CycNum.omega_pow(k * phase, order) for k in range(top + 1))
-        )
-        closed = closed.mul(series, max_degree=top)
-    return definition, closed
+        times_geometric(closed, phase)
+    return _trimmed(map(_in_zeta, definition)), _trimmed(map(_in_zeta, closed))
 
 
 # ---------------------------------------------------------------------------
@@ -331,40 +307,73 @@ def _exchange_transfer(
     return {(M, T, n): _rotate(vec, n * T) for (M, T, n), vec in states.items()}
 
 
+def _spread(vec) -> list[int]:
+    """An element of Z[y]/(y^N - 1), y = omega, as a vector over zeta in
+    Z[x]/(x^(2N) - 1): y -> x^2 is a ring homomorphism, so the exact value
+    is kept."""
+    return [c for v in vec for c in (v, 0)]
+
+
 def _in_zeta(vec) -> CycNum:
-    """An element of Z[y]/(y^N - 1), y = omega, in Z[zeta]: y -> zeta^2 is
-    a ring homomorphism, so the exact value is kept."""
-    return CycNum(2 * len(vec), [c for v in vec for c in (v, 0)])
+    """An element of Z[y]/(y^N - 1), y = omega, in Z[zeta]."""
+    return CycNum(2 * len(vec), _spread(vec))
+
+
+def _trimmed(coeffs) -> tuple[CycNum, ...]:
+    """CycNum coefficients of a polynomial with its trailing zeros trimmed.
+    Vectors that agree in Z[zeta] may differ as vectors (by multiples of
+    Phi_2N), so polynomials are compared only in this form."""
+    out = list(coeffs)
+    while out and out[-1].is_zero():
+        out.pop()
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _exchange_orders(N: int, L: int) -> tuple[dict[tuple[int, int], tuple[int, ...]], ...]:
+    """orders[n][M, T]: the order-n exchange kernel summed over every pair
+    with sum(mu) = M and sum(lam) = T, as a vector over omega, for every
+    n <= N from one transfer whose sites offer all of [0, N)."""
+    every = tuple(range(N))
+    orders: tuple[dict, ...] = tuple({} for _ in range(N + 1))
+    for (M, T, n), vec in _exchange_transfer(N, [(every, every)] * L, N).items():
+        orders[n][M, T] = vec
+    return orders
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def exchange_table(N: int, L: int, n: int) -> tuple[tuple[CycNum, ...], ...]:
     """table[M][T]: the order-n exchange kernel summed over every
     configuration pair with sum(mu) = M and sum(lam) = T, for all M and T
-    in [0, (N-1)L] at once: one transfer whose sites offer all of [0, N)."""
+    in [0, (N-1)L] at once; every order is read from one shared transfer."""
     if not 0 <= n <= N:
         raise ValueError("kernel order must lie in [0, N]")
     top = (N - 1) * L
     table = [[CycNum.zero(2 * N)] * (top + 1) for _ in range(top + 1)]
-    every = tuple(range(N))
-    for (M, T, order_n), vec in _exchange_transfer(N, [(every, every)] * L, n).items():
-        if order_n == n:
-            table[M][T] = _in_zeta(vec)
+    for (M, T), vec in _exchange_orders(N, L)[n].items():
+        table[M][T] = _in_zeta(vec)
     return tuple(map(tuple, table))
+
+
+def _pair_kernels(mu: tuple[int, ...], lam: tuple[int, ...], N: int) -> list[tuple[int, ...]]:
+    """The exchange kernel of one configuration pair at every order n in
+    [0, sum(mu)], as vectors over omega, from one transfer whose sites
+    offer the pair's values."""
+    if len(lam) != len(mu):
+        raise ValueError("mu and lam must have the same length")
+    kernels = [(0,) * N] * (sum(mu) + 1)
+    sites = [((m,), (l,)) for m, l in zip(mu, lam)]
+    for (_, _, n), vec in _exchange_transfer(N, sites, sum(mu)).items():
+        kernels[n] = vec
+    return kernels
 
 
 def exchange_sums(
     mu: tuple[int, ...], lam: tuple[int, ...], N: int
 ) -> tuple[CycNum, ...]:
     """The exchange kernel of one configuration pair at every order n in
-    [0, sum(mu)], from one transfer whose sites offer the pair's values."""
-    if len(lam) != len(mu):
-        raise ValueError("mu and lam must have the same length")
-    kernels = [CycNum.zero(2 * N)] * (sum(mu) + 1)
-    sites = [((m,), (l,)) for m, l in zip(mu, lam)]
-    for (_, _, n), vec in _exchange_transfer(N, sites, sum(mu)).items():
-        kernels[n] = _in_zeta(vec)
-    return tuple(kernels)
+    [0, sum(mu)], in Z[zeta]."""
+    return tuple(map(_in_zeta, _pair_kernels(mu, lam, N)))
 
 
 def _add_term(acc: dict, key, term) -> None:
@@ -394,18 +403,6 @@ def _cyclic_mul(a, b) -> list[int]:
                 if v:
                     out[(t + k) % N] += c * v
     return out
-
-
-def _alternating_exchange_poly(
-    mu: tuple[int, ...], lam: tuple[int, ...], N: int
-) -> CycPoly:
-    """sum_n (-1)^n omega^(n^2/2) (exchange kernel)_n t^n, with
-    (-1)^n omega^(n^2/2) = zeta^(n^2 + nN)."""
-    order = 2 * N
-    return CycPoly(order, [
-        CycNum.zeta_pow(n * n + n * N, order) * value
-        for n, value in enumerate(exchange_sums(mu, lam, N))
-    ])
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +461,15 @@ def _correction_from_exchange(
     N: int, L: int, Q: int, P: int, ell: int, j: int
 ) -> CycNum:
     """The correction term of the table recursion, evaluated from the
-    exchange kernels: sum_{k=0}^{Q} [N-P+Q choose Q-k] omega^(k^2 - kP)
-    times the exchange sum of order P - k over all configuration pairs
-    with totals (l+1)N + Q + P - k and jN + k (`exchange_table`)."""
+    exchange kernels: the sum over P-N < k <= Q of
+    [N-P+Q choose Q-k] omega^(k^2 - kP) times the exchange sum of order
+    P - k over all configuration pairs with totals (l+1)N + Q + P - k and
+    jN + k (`exchange_table`).  The q-binomial is nonzero for every k in
+    [P-N, Q]; the term k = P-N, of exchange order N, is the recursion's
+    shift entry and is not part of the correction."""
     order = 2 * N
     total = CycNum.zero(order)
-    for k in range(Q + 1):
+    for k in range(P - N + 1, Q + 1):
         mu_total = (ell + 1) * N + Q + P - k
         lam_total = j * N + k
         if not 0 <= mu_total <= (N - 1) * L:
@@ -557,20 +557,27 @@ def ibi_check(N: int, L: int, mu, lam) -> dict:
     ell, Q = divmod(sum(mu) - N, N)
     j, P = divmod(sum(lam), N)
     order = 2 * N
-
-    lhs = _alternating_exchange_poly(mu, lam, N)
-    # the dual kernel is the direct one on the reversed pair
-    rhs = _alternating_exchange_poly(lam[::-1], mu[::-1], N)
-    poch = pochhammer(Fraction(1, 2) + P, N - P + Q, N)
-    rhs = poch * rhs
-
-    one = CycNum.integer(1, order)
-    binomial = CycPoly(order, (one,) + (CycNum.zero(order),) * (N - 1) + (one,))
+    count = N - P + Q
     power = ell - j
-    if power >= 0:
-        rhs = rhs * binomial**power
-    else:
-        lhs = lhs * binomial ** (-power)
+    size = max(sum(mu) + 1 + N * max(0, -power), sum(lam) + 1 + count + N * max(0, power))
+
+    def alternating(mu, lam):
+        # sum_n (-1)^n omega^(n^2/2) (exchange kernel)_n t^n over zeta,
+        # with (-1)^n omega^(n^2/2) = zeta^(n^2 + nN)
+        poly = [list(_rotate(_spread(vec), n * n + n * N)) for n, vec in
+                enumerate(_pair_kernels(mu, lam, N))]
+        return poly + [[0] * order for _ in range(size - len(poly))]
+
+    lhs = alternating(mu, lam)
+    # the dual kernel is the direct one on the reversed pair
+    rhs = alternating(lam[::-1], mu[::-1])
+    for i in range(count):
+        # (omega^(1/2+P) t; omega)_count, omega^(1/2+P+i) = zeta^(1+2P+2i)
+        times_binomial(rhs, 1, 1 + 2 * P + 2 * i, -1)
+    for _ in range(abs(power)):
+        times_binomial(rhs if power > 0 else lhs, N, 0, 1)
+    lhs = _trimmed(CycNum(order, vec) for vec in lhs)
+    rhs = _trimmed(CycNum(order, vec) for vec in rhs)
     equal = lhs == rhs
     return {
         "N": N,
@@ -581,8 +588,8 @@ def ibi_check(N: int, L: int, mu, lam) -> dict:
         "Q": Q,
         "j": j,
         "P": P,
-        "lhs_degree": lhs.degree,
-        "rhs_degree": rhs.degree,
+        "lhs_degree": len(lhs) - 1,
+        "rhs_degree": len(rhs) - 1,
         "ok": equal,
     }
 
@@ -593,21 +600,19 @@ def appendix_suite(N: int, L: int, samples: int) -> dict:
     and the alternating-sum identity (`ibi_check`) on all (mu, lam) pairs,
     or on `samples` pairs drawn with SAMPLE_SEED past EXHAUSTIVE_PAIRS.
     Returns the count of each check and the failing tuples."""
+    # every configuration, grouped by total and lexicographic within a total
+    by_total: list[list[tuple[int, ...]]] = [[] for _ in range(N * L + 1)]
+    for digits in itertools.product(range(N), repeat=L):
+        by_total[sum(digits)].append(digits)
     failures: list[tuple] = []
-    genfun_checked = 0
-    for digits in compositions(N, L, N - 1):
+    for digits in by_total[N]:
         definition, closed = gen_function_pair(EdgeConfig(N, L, digits))
-        genfun_checked += 1
         if definition != closed:
             failures.append(("genfun", digits))
     recursion = uqp_check(N, L)
     failures.extend(("recursion", f) for f in recursion["failures"])
-    configs = [
-        digits
-        for total in range(N * (L - 1) + 1)
-        for digits in compositions(total, L, N - 1)
-    ]
-    upper = [d for d in configs if sum(d) >= N]
+    configs = [digits for group in by_total[: N * (L - 1) + 1] for digits in group]
+    upper = configs[sum(map(len, by_total[:N])):]
     exhaustive = len(upper) * len(configs) <= EXHAUSTIVE_PAIRS
     if exhaustive:
         pairs = [(mu, lam) for mu in upper for lam in configs]
@@ -618,7 +623,7 @@ def appendix_suite(N: int, L: int, samples: int) -> dict:
         if not ibi_check(N, L, mu, lam)["ok"]:
             failures.append(("alternating_sum", mu, lam))
     return {
-        "genfun_checked": genfun_checked,
+        "genfun_checked": len(by_total[N]),
         "recursion_checked": recursion["checked"],
         "alternating_sum_checked": len(pairs),
         "alternating_sum_exhaustive": exhaustive,

@@ -8,15 +8,14 @@ exactly representable, which the alternating-sum identities need.
 A CycNum is an integer vector over the power basis {zeta^0, ..., zeta^(2N-1)},
 kept in the canonical form obtained by reducing modulo the cyclotomic
 polynomial Phi_2N.  All coefficients are Python ints, so nothing overflows.
-A CycPoly is a dense polynomial in one formal variable with CycNum
-coefficients (the generating functions in t and u live here).
+The generating functions in t are lists of unreduced integer vectors,
+multiplied in place by `times_binomial` and `times_geometric`.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
@@ -302,132 +301,31 @@ def gauss_binom(a: int, b: int, N: int) -> CycNum:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over the cyclotomic ring
+# polynomials in t over integer vectors
+#
+# A polynomial in the formal variable t is a list of coefficient vectors,
+# constant first, each an element of Z[x]/(x^n - 1) for a root of unity x
+# (omega or zeta), where a power of x is an index rotation.  The list has
+# a fixed length that truncates every product; a vector is reduced to its
+# canonical CycNum only at the end.
 
 
-def _trim(coeffs: tuple[CycNum, ...]) -> tuple[CycNum, ...]:
-    end = len(coeffs)
-    while end > 0 and coeffs[end - 1].is_zero():
-        end -= 1
-    return coeffs[:end]
+def times_binomial(poly: list[list[int]], step: int, e: int, sign: int) -> None:
+    """poly *= 1 + sign x^e t^step, in place and truncated at len(poly)."""
+    n = len(poly[0])
+    for k in range(len(poly) - 1, step - 1, -1):
+        dst = poly[k]
+        for t, v in enumerate(poly[k - step]):
+            if v:
+                dst[(t + e) % n] += sign * v
 
 
-@dataclass(frozen=True)
-class CycPoly:
-    """Dense polynomial in one formal variable over Z[zeta]."""
-
-    order: int
-    coeffs: tuple[CycNum, ...]
-
-    def __init__(self, order: int, coeffs=()) -> None:
-        tup = tuple(coeffs)
-        for c in tup:
-            if c.order != order:
-                raise ValueError("coefficient order mismatch")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", _trim(tup))
-
-    @staticmethod
-    def one(order: int) -> CycPoly:
-        return CycPoly(order, (CycNum.integer(1, order),))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> CycNum:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return CycNum.zero(self.order)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: CycPoly) -> CycPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = CycNum.zero(self.order)
-        return CycPoly(
-            self.order,
-            tuple(self.coeff(i) + other.coeff(i) for i in range(n)) or (zero,),
-        )
-
-    def __sub__(self, other: CycPoly) -> CycPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return CycPoly(
-            self.order, tuple(self.coeff(i) - other.coeff(i) for i in range(n))
-        )
-
-    def __neg__(self) -> CycPoly:
-        return CycPoly(self.order, tuple(-c for c in self.coeffs))
-
-    def mul(self, other: CycPoly, max_degree: int | None = None) -> CycPoly:
-        """Product, optionally truncated to max_degree (inclusive)."""
-        if self.is_zero() or other.is_zero():
-            return CycPoly(self.order, ())
-        top = self.degree + other.degree
-        if max_degree is not None:
-            top = min(top, max_degree)
-        out = [CycNum.zero(self.order) for _ in range(top + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            jmax = top - i
-            for j, b in enumerate(other.coeffs[: jmax + 1]):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return CycPoly(self.order, out)
-
-    def __mul__(self, other):
-        if isinstance(other, CycNum):
-            return CycPoly(self.order, tuple(c * other for c in self.coeffs))
-        if isinstance(other, int):
-            return CycPoly(self.order, tuple(c * other for c in self.coeffs))
-        if isinstance(other, CycPoly):
-            return self.mul(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> CycPoly:
-        if e < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = CycPoly.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def evaluate(self, x: CycNum) -> CycNum:
-        acc = CycNum.zero(self.order)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self) -> str:
-        return "CycPoly(deg=%d over order %d)" % (self.degree, self.order)
-
-
-def pochhammer(shift: Fraction | int, count: int, N: int) -> CycPoly:
-    """The q-Pochhammer polynomial prod_{i=0}^{count-1} (1 - omega^(shift+i) t)
-    with q = omega; `shift` may be a half-integer (omega^(1/2) = zeta).
-
-    >>> pochhammer(Fraction(1, 2), 2, 2).coeffs[2].as_int()
-    1
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    twice = Fraction(shift) * 2
-    if twice.denominator != 1:
-        raise ValueError("shift must be an integer or half-integer")
-    twice = int(twice)
-    order = 2 * N
-    one = CycNum.integer(1, order)
-    poly = CycPoly(order, (one,))
-    for i in range(count):
-        factor = CycPoly(order, (one, -CycNum.zeta_pow(twice + 2 * i, order)))
-        poly = poly * factor
-    return poly
+def times_geometric(poly: list[list[int]], e: int) -> None:
+    """poly *= 1 / (1 - x^e t) = sum_k x^(ke) t^k, in place and truncated
+    at len(poly): one running recursion c_k += x^e c_(k-1)."""
+    n = len(poly[0])
+    for k in range(1, len(poly)):
+        dst = poly[k]
+        for t, v in enumerate(poly[k - 1]):
+            if v:
+                dst[(t + e) % n] += v

@@ -39,7 +39,7 @@ from typing import NoReturn
 import mpmath
 
 from .combi import lambda_block
-from .cyclo import CycNum, CycPoly
+from .cyclo import CycNum, times_binomial
 from .errors import (
     CountingInvariantError,
     DomainError,
@@ -97,23 +97,24 @@ def drinfeld_projection(N: int, L: int, Q: int) -> tuple[int, ...]:
     return the coefficient list in w = t^N.  The result must be exactly
     N times the counting polynomial, which is checked."""
     order = 2 * N
-    one = CycNum.integer(1, order)
-    total = CycPoly(order, ())
+    size = (N - 1) * L + 1
+    total = [[0] * order for _ in range(size)]
     for n in range(N):
-        # (1 - t^N)/(1 - t omega^n) = prod_{i != n} (1 - t omega^i), exactly
-        base = CycPoly.one(order)
-        for i in range(N):
-            if i != n:
-                base = base * CycPoly(order, (one, -CycNum.omega_pow(i, order)))
-        total = total + (base**L) * CycNum.omega_pow(-n * Q, order)
-    for k, c in enumerate(total.coeffs):
+        # (1 - t^N)/(1 - t omega^n) = prod_{i != n} (1 - t omega^i), exactly,
+        # on vectors over zeta, where omega^i = zeta^(2i)
+        power = [[1] + [0] * (order - 1)] + [[0] * order for _ in range(size - 1)]
+        for _ in range(L):
+            for i in range(N):
+                if i != n:
+                    times_binomial(power, 1, 2 * i, -1)
+        for dst, vec in zip(total, power):
+            for t, v in enumerate(vec):
+                dst[(t - 2 * n * Q) % order] += v
+    coeffs = [CycNum(order, vec) for vec in total]
+    for k, c in enumerate(coeffs):
         if not c.is_zero() and (k - Q) % N != 0:
             raise CountingInvariantError("projection kept power %d outside class %d" % (k, Q))
-    if any(not total.coeff(k).is_zero() for k in range(Q)):
-        raise CountingInvariantError("projection not divisible by t^Q")
-    out = tuple(
-        total.coeff(Q + j * N).as_int() for j in range((total.degree - Q) // N + 1)
-    )
+    out = tuple(c.as_int() for c in coeffs[Q::N])
     counts = lambda_counts(N, L, Q)
     if out != tuple(N * v for v in counts.lam):
         raise CountingInvariantError(

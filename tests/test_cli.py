@@ -481,6 +481,7 @@ runner = CliRunner()
 for args in (
     ["identity", "--N", "3", "--L", "4"],
     ["appendix", "--N", "3", "--L", "3"],
+    ["appendix", "--N", "4", "--L", "4"],
     ["order", "--N", "3", "--L", "4", "--r", "1", "--kp", "0.5", "--method", "det"],
 ):
     print(runner.invoke(cli.main, args).exit_code)
@@ -500,4 +501,4 @@ def test_exact_layer_never_loads_numpy():
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:4] == ["0", "0", "0", "[]"], proc.stdout
+    assert proc.stdout.split("\n")[:5] == ["0", "0", "0", "0", "[]"], proc.stdout

@@ -1,13 +1,15 @@
 """Tests for edge-configuration combinatorics.
 
 The coefficient oracle here enumerates the defining sum directly with
-itertools.product, independent of the per-site polynomial product used in
-the implementation.  The exchange-kernel oracles are two recursions over
-the n_i, one with prefix sums and one with suffix sums, independent of
-the site transfer in `combi`; the correction oracle sums the first over
-every configuration pair.  The overlap-table oracle enumerates every
-configuration of total N and multiplies its generating functions,
-independent of the table's site transfer.  The small overlap-table
+itertools.product, independent of the per-site polynomial product of
+`cycpoly.gen_poly`; that product and the closed form of `cycpoly`, both
+over canonical CycNum coefficients, are the oracles of the vector
+generating functions in `combi`.  The exchange-kernel oracles are two
+recursions over the n_i, one with prefix sums and one with suffix sums,
+independent of the site transfer in `combi`; the correction oracle sums
+the first over every configuration pair.  The overlap-table oracle
+enumerates every configuration of total N and multiplies its generating
+functions, independent of the table's site transfer.  The small overlap-table
 values were worked out by hand (L = 4, two-state case) and are frozen."""
 
 import functools
@@ -16,11 +18,12 @@ import random
 
 import pytest
 
+import cycpoly
 from chiralpotts import combi
 from chiralpotts.combi import (
     EdgeConfig,
+    appendix_suite,
     calG_table,
-    compositions,
     exchange_sums,
     exchange_table,
     gen_function_pair,
@@ -30,12 +33,28 @@ from chiralpotts.combi import (
     level_counts,
     uqp_check,
 )
-from chiralpotts.cyclo import CycNum, gauss_binom
+from chiralpotts.cyclo import CycNum, cyclotomic_poly, gauss_binom
 from chiralpotts.errors import CountingInvariantError, SizeGuardError
 
 
 # ---------------------------------------------------------------------------
 # oracle
+
+
+def compositions(total: int, length: int, max_part: int):
+    """All tuples of `length` entries in [0, max_part] summing to `total`,
+    in lexicographic order."""
+    if total < 0:
+        return
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    lo = max(0, total - max_part * (length - 1))
+    hi = min(max_part, total)
+    for first in range(lo, hi + 1):
+        for rest in compositions(total - first, length - 1, max_part):
+            yield (first,) + rest
 
 
 def k_coeffs_enum(config: EdgeConfig, max_degree: int):
@@ -71,8 +90,8 @@ def k_coeffs(
         max_degree = top
     if not 0 <= max_degree <= top:
         raise ValueError("max_degree must lie in [0, %d]" % top)
-    g = combi._gen_poly(config, config.left_sums)
-    gbar = combi._gen_poly(config, config.right_sums)
+    g = cycpoly.gen_poly(config, config.left_sums)
+    gbar = cycpoly.gen_poly(config, config.right_sums)
     return (
         [g.coeff(m) for m in range(max_degree + 1)],
         [gbar.coeff(m) for m in range(max_degree + 1)],
@@ -188,11 +207,12 @@ def exchange_sum_dual(n: int, lam: tuple[int, ...], mu: tuple[int, ...], N: int)
 
 
 def correction_from_exchange_enum(N, L, Q, P, ell, j):
-    """The correction term of the table recursion with the exchange sum
-    evaluated on every configuration pair separately."""
+    """The correction term of the table recursion, summed over
+    P-N < k <= Q, with the exchange sum evaluated on every configuration
+    pair separately."""
     order = 2 * N
     total = CycNum.zero(order)
-    for k in range(Q + 1):
+    for k in range(P - N + 1, Q + 1):
         mu_total = (ell + 1) * N + Q + P - k
         lam_total = j * N + k
         if not 0 <= mu_total <= (N - 1) * L:
@@ -300,7 +320,59 @@ def test_gen_function_pair_agrees():
             config = EdgeConfig(N, L, n)
             definition, closed = gen_function_pair(config)
             assert definition == closed, (N, L, n)
-            assert definition.degree <= (N - 1) * L - N
+            assert len(definition) - 1 <= (N - 1) * L - N
+
+
+@pytest.mark.parametrize("N, L", [(2, 3), (2, 5), (3, 3), (3, 4), (4, 3), (4, 4), (5, 3)])
+def test_gen_function_pair_matches_polynomial_oracle(N, L):
+    for n in compositions(N, L, N - 1):
+        config = EdgeConfig(N, L, n)
+        definition, closed = gen_function_pair(config)
+        assert definition == cycpoly.gen_poly(config, config.left_sums).coeffs, n
+        assert closed == cycpoly.closed_gen_poly(config).coeffs, n
+
+
+def test_zeta_vectors_compare_in_the_ring():
+    # two vectors over zeta that differ by a multiple of Phi_2N are one
+    # element of Z[zeta]; a unit apart they are not
+    for N in (2, 3, 4, 5, 6):
+        order = 2 * N
+        a = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3, 5, -8][:order]
+        phi = cyclotomic_poly(order)
+        for shift in range(order - len(phi) + 1):
+            b = list(a)
+            for i, c in enumerate(phi):
+                b[shift + i] += 7 * c
+            assert b != a
+            assert combi._trimmed([CycNum(order, a)]) == combi._trimmed([CycNum(order, b)])
+        for k in range(order):
+            b = list(a)
+            b[k] += 1
+            assert combi._trimmed([CycNum(order, a)]) != combi._trimmed([CycNum(order, b)])
+    # a coefficient that vanishes in Z[zeta] is trimmed even when its vector is not zero
+    assert combi._trimmed([CycNum(6, [1]), CycNum(6, [1, 0, 1, 0, 1, 0])]) == (CycNum(6, [1]),)
+
+
+def test_appendix_suite_reports_wrong_phases(monkeypatch):
+    # a closed-form site factor one phase off and a Pochhammer product
+    # shifted by one power of omega must both show up as failures; the
+    # checks below are explicit so that they keep their teeth under -O
+    times_geometric, times_binomial = combi.times_geometric, combi.times_binomial
+    monkeypatch.setattr(combi, "times_geometric", lambda poly, e: times_geometric(poly, e + 1))
+    monkeypatch.setattr(
+        combi,
+        "times_binomial",
+        lambda poly, step, e, sign: times_binomial(poly, step, e + 2 if step == 1 else e, sign),
+    )
+    for N, L in [(2, 3), (3, 3)]:
+        report = appendix_suite(N, L, samples=40)
+        kinds = {failure[0] for failure in report["failures"]}
+        if report["ok"] or kinds != {"genfun", "alternating_sum"}:
+            pytest.fail("wrong phases went unreported at (%d, %d): %r" % (N, L, kinds))
+
+
+def test_appendix_checks_survive_optimize_flag(run_optimized):
+    run_optimized("test_combi.py::test_appendix_suite_reports_wrong_phases")
 
 
 def test_gen_function_pair_needs_total_N():
@@ -408,25 +480,26 @@ def test_correction_transfer_matches_pair_enumeration(N, L):
             assert got == correction_from_exchange_enum(N, L, Q, P, ell, j), (Q, P, ell, j)
 
 
-def test_known_kernel_misses_are_pinned():
-    # the exchange-kernel correction and its closed form in level
-    # degeneracies disagree at these four-state entries, both routes alike
-    misses = {
-        (4, 3): [(0, 5, 200, 136)],
-        (4, 4): [(0, 5, 1616, 1136), (4, 5, 776, 616)],
+def test_correction_closed_values_are_pinned():
+    # entries where the terms P-N < k < 0 of the correction are nonzero: the
+    # exchange-kernel form must equal these closed values, in level
+    # degeneracies, at four, five and six states
+    pinned = {
+        (4, 3): [(0, 5, 136)],
+        (4, 4): [(0, 5, 1136), (4, 5, 616)],
+        (5, 4): [(0, 6, 3316), (0, 7, 3515), (0, 11, 2689), (5, 7, 1780)],
+        (6, 3): [(0, 7, 651), (0, 8, 618), (0, 9, 526), (1, 8, 702), (6, 8, 75)],
     }
-    for (N, L), expected in misses.items():
-        report = uqp_check(N, L)
-        got = [
-            (f["row"], f["col"], f["kernel_vs_closed"]) for f in report["failures"]
-        ]
-        assert got == [
-            (row, col, ("CycNum<8>(%d)" % kernel, closed))
-            for row, col, kernel, closed in expected
-        ]
-        for row, col, kernel, _ in expected:
+    for (N, L), entries in pinned.items():
+        lam = combi._level_table(N, L)
+        for row, col, value in entries:
             (ell, Q), (j, P) = divmod(row, N), divmod(col, N)
-            assert correction_from_exchange_enum(N, L, Q, P, ell, j).as_int() == kernel
+            assert combi._correction_from_counts(lam, Q, P, ell, j) == value
+            kernel = combi._correction_from_exchange(N, L, Q, P, ell, j)
+            assert kernel == CycNum.integer(value, 2 * N), (N, L, row, col, kernel)
+            if (N, L) == (4, 4):
+                assert correction_from_exchange_enum(N, L, Q, P, ell, j) == kernel
+        assert uqp_check(N, L)["ok"], (N, L)
 
 
 def test_uqp_check_larger_sizes():

@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from chiralpotts.cyclo import (
     CycNum,
-    CycPoly,
     cyclotomic_poly,
     gauss_binom,
-    pochhammer,
+    times_binomial,
+    times_geometric,
 )
+
+from cycpoly import CycPoly, pochhammer
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +233,7 @@ def test_gauss_binom_vanishes_past_period(N, n, nn):
 
 
 # ---------------------------------------------------------------------------
-# CycPoly and Pochhammer products
+# the CycPoly and Pochhammer oracles of the tests
 
 
 def test_poly_mul_and_truncate():
@@ -289,3 +291,26 @@ def test_pochhammer_full_cycle_collapses():
 def test_pochhammer_rejects_bad_shift():
     with pytest.raises(ValueError):
         pochhammer(Fraction(1, 3), 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# polynomials over integer vectors
+
+
+def test_vector_factors_match_the_polynomial_oracle():
+    # a product of (1 + s zeta^e t^m) factors and a truncated 1/(1 - zeta^e t)
+    # on unreduced vectors, against the same products over CycNum
+    order, size = 6, 9
+    vectors = [[1] + [0] * (order - 1)] + [[0] * order for _ in range(size - 1)]
+    oracle = CycPoly.one(order)
+    one = CycNum.integer(1, order)
+    for step, e, sign in [(1, 1, -1), (3, 0, 1), (2, 5, -1), (1, 4, 1)]:
+        times_binomial(vectors, step, e, sign)
+        factor = [one] + [CycNum.zero(order)] * (step - 1) + [sign * CycNum.zeta_pow(e, order)]
+        oracle = oracle * CycPoly(order, factor)
+    assert CycPoly(order, [CycNum(order, v) for v in vectors]) == oracle
+    times_geometric(vectors, 2)
+    series = CycPoly(order, [CycNum.zeta_pow(2 * k, order) for k in range(size)])
+    assert CycPoly(order, [CycNum(order, v) for v in vectors]) == oracle.mul(
+        series, max_degree=size - 1
+    )

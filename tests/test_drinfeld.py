@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cycpoly
 from chiralpotts import drinfeld
 from chiralpotts.drinfeld import (
     DrinfeldPoly,
@@ -73,6 +74,19 @@ def test_counting_invariants_survive_optimize_flag(run_optimized):
 
 def test_projection_two_state_hand_value():
     assert drinfeld_projection(2, 2, 0) == (2, 2)
+
+
+def test_projection_matches_polynomial_oracle():
+    # the vector expansion against the same sum of products over CycNum
+    for N in (2, 3, 4):
+        for L in range(1, 5):
+            for Q in range(N):
+                expansion = cycpoly.projection_poly(N, L, Q)
+                assert all(
+                    c.is_zero() for k, c in enumerate(expansion.coeffs) if (k - Q) % N
+                ), (N, L, Q)
+                want = tuple(c.as_int() for c in expansion.coeffs[Q::N])
+                assert drinfeld_projection(N, L, Q) == want, (N, L, Q)
 
 
 def test_projection_matches_counts_small():
