@@ -13,8 +13,11 @@ form factor.  `solve_roots` finds them in three steps.
    which `drinfeld_projection` proves exactly.  A grid sign is accepted
    only where the value clears its rounding bound; elsewhere it is taken
    exactly from the integer coefficients.
-2. Polish.  Each bracket is bisected in double precision, then
-   Newton-refined on the integer coefficients at precision + 40 bits.
+2. Polish.  Each bracket is narrowed in double precision by Illinois
+   regula falsi on the identity value (geometric bisection where the
+   identity cannot resolve an endpoint), then Newton-refined at
+   precision + 40 bits with a fixed-point Horner on the integer
+   coefficients, truncated to that grid at every step.
 3. Certify.  Exact integer sign evaluation at m+1 dyadic probes (a
    Cauchy bound, the midpoints between consecutive roots, and 0) proves
    there are m simple real negative roots, one per probe interval; each
@@ -158,15 +161,18 @@ def _exact_sign(coeffs: tuple[int, ...], a: int, k: int) -> int:
     return (value > 0) - (value < 0)
 
 
-def _identity_sign(N: int, L: int, Q: int, x: float) -> int:
-    """Sign of lambda_Q(-x) from the projection identity in double
-    precision, or 0 where the value does not clear its rounding bound.
+def _identity_value(
+    N: int, L: int, Q: int, x: float, top: float | None = None
+) -> tuple[float, float, float]:
+    """(value, bound, top): e^(-top) N |t|^Q lambda_Q(-x) from the
+    projection identity in double precision, the bound its rounding error
+    is measured against, and the scale top.
 
     With t = x^(1/N) e^(i pi/N), the identity gives N |t|^Q lambda_Q(-x)
     as the real part of sum_n exp(l_n), l_n = L log((1+x)/(1 - t omega^n))
-    - i Q pi (2n+1)/N.  The terms are scaled by the largest modulus, and
-    each carries a rounding error of a few ulps of |l_n| + L in its
-    exponent."""
+    - i Q pi (2n+1)/N.  The terms are scaled by e^(-top), top the largest
+    Re l_n unless given, and each carries a rounding error of a few ulps
+    of |l_n| + L in its exponent."""
     radius = x ** (1.0 / N)
     log1x = math.log1p(x)
     logs = []
@@ -174,14 +180,27 @@ def _identity_sign(N: int, L: int, Q: int, x: float) -> int:
         angle = math.pi * (2 * n + 1) / N
         one_minus_t = complex(1.0 - radius * math.cos(angle), -radius * math.sin(angle))
         logs.append(L * (log1x - cmath.log(one_minus_t)) - 1j * Q * angle)
-    top = max(l.real for l in logs)
+    if top is None:
+        top = max(l.real for l in logs)
     value = 0.0
     bound = 0.0
     for l in logs:
         term = cmath.exp(l - top)
         value += term.real
         bound += abs(term) * (abs(l) + abs(top) + (N + 4) * (L + 2))
-    if abs(value) <= 8 * _EPS * bound:
+    return value, bound, top
+
+
+def _resolved(value: float, bound: float) -> bool:
+    """Whether an identity value clears its rounding bound."""
+    return abs(value) > 8 * _EPS * bound
+
+
+def _identity_sign(N: int, L: int, Q: int, x: float) -> int:
+    """Sign of lambda_Q(-x) from the projection identity in double
+    precision, or 0 where the value does not clear its rounding bound."""
+    value, bound, _ = _identity_value(N, L, Q, x)
+    if not _resolved(value, bound):
         return 0
     return 1 if value > 0 else -1
 
@@ -225,7 +244,54 @@ def _brackets(poly: DrinfeldPoly) -> list[tuple[float, float, int]] | None:
     return None
 
 
+# Regula falsi stops once its bracket is this narrow, relative to x.
+_FALSI_WIDTH = 2.0**-44
+
+
 def _bisect(poly: DrinfeldPoly, x_lo: float, x_hi: float, sign_lo: int) -> float:
+    """A point of the bracket near its root, in double precision.
+
+    Illinois regula falsi on the identity value, scaled by one top for the
+    whole bracket, until the bracket is 2^-44 wide relative to x or the
+    sign at the new point is unresolved.  Where the identity cannot
+    resolve an endpoint, geometric bisection takes over, stopping where
+    the sign can no longer be resolved."""
+    N, L, Q = poly.N, poly.L, poly.Q
+    f_hi, bound_hi, top = _identity_value(N, L, Q, x_hi)
+    f_lo, bound_lo, _ = _identity_value(N, L, Q, x_lo, top)
+    up = sign_lo > 0
+    if not (
+        _resolved(f_lo, bound_lo) and (f_lo > 0) == up
+        and _resolved(f_hi, bound_hi) and (f_hi > 0) != up
+    ):
+        return _geometric_bisect(poly, x_lo, x_hi, sign_lo)
+    x, kept = math.sqrt(x_lo * x_hi), 0
+    for _ in range(64):
+        if x_hi - x_lo <= _FALSI_WIDTH * x_hi:
+            break
+        x = (x_lo * f_hi - x_hi * f_lo) / (f_hi - f_lo)
+        if not x_lo < x < x_hi:
+            x = math.sqrt(x_lo * x_hi)
+            if not x_lo < x < x_hi:
+                break
+        value, bound, _ = _identity_value(N, L, Q, x, top)
+        if not _resolved(value, bound):
+            break
+        # Illinois: an endpoint kept twice running has its value halved
+        if (value > 0) == up:
+            x_lo, f_lo = x, value
+            if kept < 0:
+                f_hi /= 2
+            kept = -1
+        else:
+            x_hi, f_hi = x, value
+            if kept > 0:
+                f_lo /= 2
+            kept = 1
+    return x
+
+
+def _geometric_bisect(poly: DrinfeldPoly, x_lo: float, x_hi: float, sign_lo: int) -> float:
     """Geometric bisection of a bracket in double precision, stopping
     where the identity can no longer resolve the sign."""
     for _ in range(64):
@@ -242,22 +308,68 @@ def _bisect(poly: DrinfeldPoly, x_lo: float, x_hi: float, sign_lo: int) -> float
     return math.sqrt(x_lo * x_hi)
 
 
+def _fixed_value(coeffs: tuple[int, ...], a: int, grid: int) -> int:
+    """About 2^grid p(a / 2^grid): Horner on the fixed-point grid, each
+    step truncated back to `grid` fraction bits, so the numbers keep
+    about grid + log2 |p| bits instead of m grid."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = ((acc * a) >> grid) + (c << grid)
+    return acc
+
+
+# Value and slope of a Newton step are taken this many bits below the grid.
+_GUARD_BITS = 24
+
+
+def _newton_step(coeffs, slope, a: int, grid: int) -> int | None:
+    """floor(2^grid p(x) / p'(x)) at x = a / 2^grid, the step of exact
+    integer Newton, or None where p'(x) = 0.
+
+    Value and slope come from the fixed-point Horner `_fixed_value`,
+    `_GUARD_BITS` below the grid.  Each truncation error is at most
+    sum_(i<m) |x|^i fine units, below the power of two `error`, and the
+    step is taken from them only when every value within those errors
+    floors to the same integer; otherwise, which happens near a root
+    that sits on the grid, value and slope are evaluated exactly."""
+    fine = grid + _GUARD_BITS
+    at = a << _GUARD_BITS
+    value = _fixed_value(coeffs, at, fine)
+    denominator = _fixed_value(slope, at, fine)
+    growth = max(0.0, math.log2(abs(a) or 1) - grid)
+    error = 1 << (math.ceil(math.log2(len(coeffs)) + len(slope) * growth) + 2)
+    if abs(denominator) > error:
+        floors = {
+            (v << grid) // d
+            for v in (value - error, value + error)
+            for d in (denominator - error, denominator + error)
+        }
+        if len(floors) == 1:
+            return floors.pop()
+    denominator = _scaled_value(slope, a, grid)
+    if denominator == 0:
+        return None
+    return _scaled_value(coeffs, a, grid) // denominator
+
+
 def _newton(coeffs: tuple[int, ...], z0: float, precision: int) -> mpmath.mpf:
     """Newton iteration from z0 on a fixed-point grid of precision + 40
     significant bits at the magnitude of z0, until the step falls below
-    2^-(precision + 20) relative.  Value and slope are exact integers, so
-    the iteration has no rounding floor however much the polynomial
-    cancels near the root."""
+    2^-(precision + 20) relative.  Each step is the floor of the exact
+    integer Newton step, taken from fixed-point Horner values wherever
+    their truncation errors cannot change it (`_newton_step`), so the
+    numbers keep about grid + log2 |p| bits instead of m grid.  The
+    exact certificate of `solve_roots` alone decides whether the root
+    stands."""
     bits = precision + 40
     a, k = _dyadic(z0)
     grid = max(bits - (abs(a).bit_length() - k), 0)
     a = a << (grid - k) if grid >= k else a >> (k - grid)
     slope = tuple(n * c for n, c in enumerate(coeffs))[1:]
     for _ in range(40):
-        denominator = _scaled_value(slope, a, grid)
-        if denominator == 0:  # a critical point: the certificate will refuse it
+        step = _newton_step(coeffs, slope, a, grid)
+        if step is None:  # a critical point: the certificate will refuse it
             break
-        step = _scaled_value(coeffs, a, grid) // denominator
         a -= step
         if abs(step) < 1 << 20:
             break
@@ -364,8 +476,9 @@ def solve_roots(poly: DrinfeldPoly, precision: int = 192) -> tuple[mpmath.mpf, .
     bits.
 
     Brackets come from a double-precision sign scan of lambda_Q(-x)
-    through the projection identity; each is bisected and then
-    Newton-polished at precision + 40 bits.  Every returned root is
+    through the projection identity; each is narrowed by regula falsi
+    and then Newton-polished on a fixed-point grid of precision + 40
+    bits.  Every returned root is
     certified exactly: alternating signs at m+1 dyadic probes prove m
     simple real negative roots, one between each pair of probes, and
     each root's relative residual is at most 2^(-precision/2).  When the
@@ -402,7 +515,8 @@ class RootData:
     variables every formula downstream consumes.  w = 1/z is kept as
     comparison data for the reciprocal-sector pairing.  Per root:
     c = -(1+z)/(1-z) in (-1,1), lam = sqrt(1 + k'^2 + 2k'(1+z)/(1-z))
-    in (1-k', 1+k'), and exp(2 theta) = (lam+1-k')/(lam-1+k')."""
+    in (1-k', 1+k'), and exp(2 theta) = (lam+1-k')/(lam-1+k'), with
+    theta computed when read."""
 
     N: int
     L: int
@@ -413,12 +527,19 @@ class RootData:
     w: tuple[mpmath.mpf, ...]
     c: tuple[mpmath.mpf, ...]
     lam: tuple[mpmath.mpf, ...]
-    theta: tuple[mpmath.mpf, ...]
     consistency_residual: mpmath.mpf
 
     @property
     def m(self) -> int:
         return len(self.z)
+
+    @property
+    def theta(self) -> tuple[mpmath.mpf, ...]:
+        with mpmath.workprec(2 * self.precision):
+            kpv = mpmath.mpf(self.kp)
+            return tuple(
+                mpmath.log((lam + 1 - kpv) / (lam - 1 + kpv)) / 2 for lam in self.lam
+            )
 
     def to_json(self) -> dict:
         dps = int(self.precision * 0.301)
@@ -437,19 +558,21 @@ class RootData:
         }
 
 
+@functools.lru_cache(maxsize=256)
 def root_transforms(
     poly: DrinfeldPoly, kp, precision: int = 192
 ) -> RootData:
     """Solve the sector polynomial and map every root z to its derived
     quantities, verifying the hyperbolic-parametrization consistency
-    relation  exp(2t) + exp(-2t) = k' + 1/k' - (1-k')^2 z/k'  per root."""
+    relation  exp(2t) + exp(-2t) = k' + 1/k' - (1-k')^2 z/k'  per root.
+    Cached: a sector serves as ket in one pair and as bra in another."""
     roots = solve_roots(poly, precision)
     kp_str = str(kp)
     with mpmath.workprec(2 * precision):
         kpv = mpmath.mpf(kp_str)
         if not 0 < kpv < 1:
             raise DomainError("k' must lie in (0,1), got %s" % kp_str)
-        zs, ws, cs, lams, thetas = [], [], [], [], []
+        zs, ws, cs, lams = [], [], [], []
         worst = mpmath.mpf(0)
         for z in roots:
             ratio = (1 + z) / (1 - z)
@@ -469,14 +592,12 @@ def root_transforms(
             if not -1 < c < 1:
                 raise DomainError("c = %s outside (-1,1)" % mpmath.nstr(c, 8))
             e2t = (lam + 1 - kpv) / (lam - 1 + kpv)
-            theta = mpmath.log(e2t) / 2
             check = e2t + 1 / e2t - (kpv + 1 / kpv - (1 - kpv) ** 2 * z / kpv)
             worst = max(worst, abs(check))
             zs.append(z)
             ws.append(1 / z)
             cs.append(c)
             lams.append(lam)
-            thetas.append(theta)
         digits = int(precision * 0.301)
         if worst > mpmath.mpf(10) ** (-(digits - 8)):
             raise DomainError(
@@ -492,7 +613,6 @@ def root_transforms(
         w=tuple(ws),
         c=tuple(cs),
         lam=tuple(lams),
-        theta=tuple(thetas),
         consistency_residual=worst,
     )
 

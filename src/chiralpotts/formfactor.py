@@ -132,13 +132,14 @@ def couplings(
     with mpmath.workprec(2 * precision):
         kpv = mpmath.mpf(kp_str)
         tol = mpmath.mpf(2) ** (-precision)
-        for z in roots_ket.z:
-            for zp in roots_bra.z:
-                if abs(z - zp) < tol:
-                    raise SingularConfigurationError(
-                        "sectors %d and %d share the root %s"
-                        % (P, Q, mpmath.nstr(z, 10))
-                    )
+        # a ket and a bra root closer than tol are neighbours once merged
+        merged = sorted([(z, 0) for z in roots_ket.z] + [(z, 1) for z in roots_bra.z])
+        for (z, side), (zp, side_p) in zip(merged, merged[1:]):
+            if side != side_p and abs(z - zp) < tol:
+                raise SingularConfigurationError(
+                    "sectors %d and %d share the root %s"
+                    % (P, Q, mpmath.nstr(z, 10))
+                )
         u = tuple(a for a, _ in _root_couplings(roots_ket, kpv, tol))
         up = tuple(b for _, b in _root_couplings(roots_bra, kpv, tol))
         cc = mpmath.mpf(1)
@@ -294,22 +295,34 @@ def _real_kernel(inp: FormFactorInput, eps: int):
     """Real form of the Cauchy kernel B = F K F', K_ij = 1/(z_i - z'_j),
     in the current decimal context: the squared ket weights f^2 and the
     symmetric m x m sums S_ik = sum_j f'_j^2 K_ij K_kj and
-    C_ik = sum_j u'_j f'_j^2 K_ij K_kj, taken together over i <= k.
-    Then B B^T = F S F and Y B Y' B^T = Y F C F."""
+    C_ik = sum_j u'_j f'_j^2 K_ij K_kj.  Then B B^T = F S F and
+    Y B Y' B^T = Y F C F.
+
+    Off the diagonal both take the Cauchy form: K_ij K_kj =
+    (K_ij - K_kj)/(z_k - z_i) gives S_ik = (h_i - h_k)/(z_k - z_i) with
+    h_i = sum_j f'_j^2 K_ij, and C_ik the same with u'_j f'_j^2, so the
+    sums cost O(m m' + m^2).  The diagonals stay sum_j f'_j^2 K_ij^2."""
     z = [_to_decimal(v) for v in inp.roots_ket.z]
     zp = [_to_decimal(v) for v in inp.roots_bra.z]
     up = [_to_decimal(v) for v in inp.up]
     f2, fp2 = _squared_weights(inp, eps, z, zp)
     vp2 = [a * b for a, b in zip(up, fp2)]
-    K = [[1 / (zi - zj) for zj in zp] for zi in z]
     S = [[None] * inp.m for _ in range(inp.m)]
     C = [[None] * inp.m for _ in range(inp.m)]
-    for i, row in enumerate(K):
+    h, g = [], []
+    for i, zi in enumerate(z):
+        row = [1 / (zi - zj) for zj in zp]
         row_s = [a * b for a, b in zip(row, fp2)]
         row_c = [a * b for a, b in zip(row, vp2)]
-        for k in range(i, inp.m):
-            S[i][k] = S[k][i] = sum(map(operator.mul, row_s, K[k]))
-            C[i][k] = C[k][i] = sum(map(operator.mul, row_c, K[k]))
+        S[i][i] = sum(map(operator.mul, row_s, row))
+        C[i][i] = sum(map(operator.mul, row_c, row))
+        h.append(sum(row_s))
+        g.append(sum(row_c))
+    for i, zi in enumerate(z):
+        for k in range(i + 1, inp.m):
+            gap = z[k] - zi
+            S[i][k] = S[k][i] = (h[i] - h[k]) / gap
+            C[i][k] = C[k][i] = (g[i] - g[k]) / gap
     return f2, S, C
 
 

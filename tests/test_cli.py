@@ -289,10 +289,10 @@ def _argv(draw):
         "identity", "appendix", "drinfeld", "formfactor", "order", "sweep",
         "oracle", "correlate",
     ]))
-    # appendix at N=4, L=4 alone takes about 10 s; oracle and correlate
-    # diagonalize dense sector blocks of dimension N^(L-1)
+    # oracle and correlate diagonalize dense sector blocks of dimension
+    # N^(L-1); every other command, appendix included, draws N up to 4
     on_lattice = command in ("oracle", "correlate")
-    n = draw(st.integers(2, 3 if on_lattice or command == "appendix" else 4))
+    n = draw(st.integers(2, 3 if on_lattice else 4))
     widths = draw(st.lists(
         st.integers(1, 3 if on_lattice else 4), min_size=1, max_size=2, unique=True
     ))

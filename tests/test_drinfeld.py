@@ -2,7 +2,7 @@
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cycpoly
@@ -333,6 +333,82 @@ def test_identity_scan_sign_is_exact_where_resolved(N, L, log_x, data):
     if sign:
         lam = lambda_counts(N, L, Q).lam
         assert sign == drinfeld._exact_sign(lam, *drinfeld._dyadic(-x))
+
+
+def _newton_exact(coeffs, z0, precision):
+    """Newton iteration as `drinfeld._newton` runs it, with value and
+    slope evaluated exactly on the homogenised integer form at every
+    step; returns the root and its grid."""
+    bits = precision + 40
+    a, k = drinfeld._dyadic(z0)
+    grid = max(bits - (abs(a).bit_length() - k), 0)
+    a = a << (grid - k) if grid >= k else a >> (k - grid)
+    slope = tuple(n * c for n, c in enumerate(coeffs))[1:]
+    for _ in range(40):
+        denominator = drinfeld._scaled_value(slope, a, grid)
+        if denominator == 0:
+            break
+        step = drinfeld._scaled_value(coeffs, a, grid) // denominator
+        a -= step
+        if abs(step) < 1 << 20:
+            break
+    with mpmath.workprec(bits + 2):
+        return mpmath.ldexp(a, -grid), grid
+
+
+@pytest.mark.parametrize("N, L", [(3, 30), (2, 30), (4, 20), (5, 12), (6, 10), (3, 60)])
+def test_fixed_point_newton_matches_exact_newton(N, L):
+    # from the same start, the fixed-point polish lands on the root the
+    # exact-arithmetic iteration gives, to the grid unit; that includes
+    # the roots z = -1 and -3 of (2, 30), which lie on the grid
+    for Q in range(N):
+        poly = lambda_counts(N, L, Q)
+        for bracket in drinfeld._brackets(poly):
+            z0 = -drinfeld._bisect(poly, *bracket)
+            want, grid = _newton_exact(poly.lam, z0, 192)
+            got = drinfeld._newton(poly.lam, z0, 192)
+            with mpmath.workprec(2 * grid):
+                assert abs(got - want) <= 2 * mpmath.mpf(2) ** -grid, (N, L, Q)
+                assert got == want, (N, L, Q)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    N=st.integers(min_value=2, max_value=6),
+    L=st.integers(min_value=2, max_value=60),
+    offset=st.integers(min_value=-(1 << 40), max_value=1 << 40),
+    data=st.data(),
+)
+def test_fixed_point_step_is_the_exact_floor(N, L, offset, data):
+    # at grid points near a root and far from it, the step taken from the
+    # fixed-point values equals the floor of the exact integer Newton step
+    Q = data.draw(st.integers(min_value=0, max_value=N - 1))
+    poly = lambda_counts(N, L, Q)
+    assume(poly.m > 0)
+    root = data.draw(st.sampled_from(solve_roots(poly)))
+    a, grid = drinfeld._dyadic(root)
+    a += offset
+    slope = tuple(n * c for n, c in enumerate(poly.lam))[1:]
+    want = drinfeld._scaled_value(poly.lam, a, grid) // drinfeld._scaled_value(slope, a, grid)
+    assert drinfeld._newton_step(poly.lam, slope, a, grid) == want
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    N=st.integers(min_value=2, max_value=6),
+    L=st.integers(min_value=2, max_value=40),
+    data=st.data(),
+)
+def test_polish_stays_inside_its_bracket(N, L, data):
+    Q = data.draw(st.integers(min_value=0, max_value=N - 1))
+    poly = lambda_counts(N, L, Q)
+    assume(poly.m > 0)
+    x_lo, x_hi, sign_lo = data.draw(st.sampled_from(drinfeld._brackets(poly)))
+    for narrow in (drinfeld._bisect, drinfeld._geometric_bisect):
+        x = narrow(poly, x_lo, x_hi, sign_lo)
+        assert x_lo <= x <= x_hi, narrow.__name__
+    root = drinfeld._newton(poly.lam, -x, 192)
+    assert -x_hi < root < -x_lo
 
 
 @settings(deadline=None, max_examples=30)

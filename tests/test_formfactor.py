@@ -8,11 +8,12 @@ import mpmath
 import pytest
 
 from chiralpotts.drinfeld import lambda_counts
-from chiralpotts import combi, formfactor
+from chiralpotts import combi, drinfeld, formfactor
 from chiralpotts.errors import (
     DomainError,
     IdentityViolationError,
     OrthogonalityViolationError,
+    SingularConfigurationError,
     SizeGuardError,
 )
 from chiralpotts.formfactor import (
@@ -62,6 +63,48 @@ def test_coupling_relation_violation_raises_domain_error(monkeypatch):
     monkeypatch.setattr(formfactor, "root_transforms", shifted)
     with pytest.raises(DomainError):
         couplings(3, 5, Q=0, P=1, kp="0.5")
+
+
+def _with_bra_root_near_ket_root(offset):
+    """A root_transforms stand-in for the pair (Q, P) = (0, 1) of (3, 5):
+    the bra sector's second root is moved to the ket sector's first root
+    times 1 + offset, and the list re-sorted."""
+    exact = drinfeld.root_transforms
+
+    def transforms(poly, kp, precision):
+        data = exact(poly, kp, precision)
+        if poly.Q != 0:
+            return data
+        target = exact(lambda_counts(poly.N, poly.L, 1), kp, precision).z[0]
+        with mpmath.workprec(2 * precision):
+            moved = target * (1 + offset)
+        z = tuple(sorted((data.z[0], moved) + data.z[2:]))
+        return dataclasses.replace(data, z=z)
+
+    return transforms
+
+
+def test_shared_root_raises_singular_configuration(monkeypatch):
+    # within 2^-precision of a ket root, a bra root counts as shared; the
+    # merged root lists put the two next to each other
+    monkeypatch.setattr(
+        formfactor, "root_transforms", _with_bra_root_near_ket_root(mpmath.mpf(2) ** -220)
+    )
+    with pytest.raises(SingularConfigurationError):
+        couplings(3, 5, Q=0, P=1, kp="0.5")
+    with pytest.raises(SingularConfigurationError):
+        couplings(3, 5, Q=1, P=0, kp="0.5")
+    # 2^-100 relative is far outside the tolerance: the relation check,
+    # which runs next, is what refuses the moved root
+    monkeypatch.setattr(
+        formfactor, "root_transforms", _with_bra_root_near_ket_root(mpmath.mpf(2) ** -100)
+    )
+    with pytest.raises(DomainError):
+        couplings(3, 5, Q=0, P=1, kp="0.5")
+
+
+def test_shared_root_check_survives_optimize_flag(run_optimized):
+    run_optimized("test_formfactor.py::test_shared_root_raises_singular_configuration")
 
 
 def test_couplings_rejects_equal_charges():
@@ -239,6 +282,45 @@ def test_real_det_matches_complex_mpmath_det(N, widths):
                     assert abs(value - want) < mpmath.mpf(10) ** -50 * abs(want), (L, kp, Q, P)
 
 
+def _real_kernel_loop(inp, eps=1):
+    """f^2, S and C of `formfactor._real_kernel` by the direct O(m^2 m')
+    sums S_ik = sum_j f'_j^2 K_ij K_kj and C_ik = sum_j u'_j f'_j^2 K_ij K_kj,
+    in the current decimal context."""
+    to_dec = formfactor._to_decimal
+    z = [to_dec(v) for v in inp.roots_ket.z]
+    zp = [to_dec(v) for v in inp.roots_bra.z]
+    up = [to_dec(v) for v in inp.up]
+    f2, fp2 = formfactor._squared_weights(inp, eps, z, zp)
+    vp2 = [a * b for a, b in zip(up, fp2)]
+    K = [[1 / (zi - zj) for zj in zp] for zi in z]
+    S = [[None] * inp.m for _ in range(inp.m)]
+    C = [[None] * inp.m for _ in range(inp.m)]
+    for i, row in enumerate(K):
+        row_s = [a * b for a, b in zip(row, fp2)]
+        row_c = [a * b for a, b in zip(row, vp2)]
+        for k in range(i, inp.m):
+            S[i][k] = S[k][i] = sum(a * b for a, b in zip(row_s, K[k]))
+            C[i][k] = C[k][i] = sum(a * b for a, b in zip(row_c, K[k]))
+    return f2, S, C
+
+
+@pytest.mark.parametrize("N, L", [(3, 12), (4, 20), (3, 60)])
+def test_cauchy_form_sums_match_the_direct_loop(N, L):
+    # every entry within 2^-(working - 20) of the largest one
+    for Q, P in itertools.combinations(range(N), 2):
+        inp = couplings(N, L, Q=Q, P=P, kp="0.5")
+        with decimal.localcontext(formfactor._decimal_context(inp)):
+            f2, S, C = formfactor._real_kernel(inp, 1)
+            f2_loop, S_loop, C_loop = _real_kernel_loop(inp)
+            assert f2 == f2_loop
+            for got, want in ((S, S_loop), (C, C_loop)):
+                scale = max(abs(v) for row in want for v in row)
+                tol = scale * decimal.Decimal(2) ** -(inp.working - 20)
+                for row, row_want in zip(got, want, strict=True):
+                    for a, b in zip(row, row_want, strict=True):
+                        assert abs(a - b) <= tol, (N, L, Q, P)
+
+
 def test_real_det_is_blind_to_the_kernel_sign():
     # eps flips the sign of every squared weight, which cancels in pairs
     for L, Q, P in ((7, 0, 1), (8, 2, 0), (9, 1, 2)):
@@ -304,10 +386,10 @@ def test_orthogonality_check_survives_optimize_flag(run_optimized):
     run_optimized("test_formfactor.py::test_nudged_bra_root_breaks_orthogonality")
 
 
-def test_det_route_reaches_width_120():
-    res = order_param_sq(3, 1, "0.5", 120, method="det")
+def test_det_route_reaches_width_240():
+    res = order_param_sq(3, 1, "0.5", 240, method="det")
     for e in res["per_sector"]:
-        inp = couplings(3, 120, Q=e["Q"], P=e["P"], kp="0.5")
+        inp = couplings(3, 240, Q=e["Q"], P=e["P"], kp="0.5")
         with mpmath.workprec(inp.working):
             assert abs(e["dhat"] - dhat_closed(inp)) < ROUTE_TOL, (e["Q"], e["P"])
             assert e["orthogonality_residual"] < mpmath.mpf(2) ** -96
