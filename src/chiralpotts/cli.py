@@ -152,14 +152,6 @@ def _verification_failed(failures: list) -> None:
     sys.exit(4)
 
 
-def _size_guard(exc: SizeGuardError, hint: str | None = None) -> None:
-    message = str(exc)
-    if hint:
-        message += f"; {hint}"
-    click.echo(message, err=True)
-    sys.exit(3)
-
-
 class _Main(click.Group):
     """The command group; maps a typed error escaping any command to its
     exit code: 3 for the size guard, 4 for every other one."""
@@ -168,7 +160,8 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except SizeGuardError as exc:
-            _size_guard(exc)
+            click.echo(str(exc), err=True)
+            sys.exit(3)
         except ChiralPottsError as exc:
             click.echo(f"{type(exc).__name__}: {exc}", err=True)
             sys.exit(4)
@@ -304,10 +297,7 @@ def formfactor(n, width, charge, charge_p, kp, prec, method, out, fmt):
         prec=prec, method=method, out=out, format=fmt,
     )
     inp = couplings(n, width, Q=charge, P=charge_p, kp=kp, precision=prec)
-    try:
-        run = dhat_routes(inp, method)
-    except SizeGuardError as exc:
-        _size_guard(exc, hint="use --method det for large root counts")
+    run = dhat_routes(inp, method)
     residuals = dict(run.differences)
     if run.orthogonality is not None:
         residuals["orthogonality"] = run.orthogonality
@@ -354,15 +344,9 @@ def order(n, width, offset, kp, prec, method, out, fmt):
 
 
 def _order_run(n, offset, kp, width, prec, method) -> tuple[dict, list[tuple]]:
-    """`order_param_sq` with its size guard mapped to exit 3, and (Q, P,
-    route, route, difference) for each route pair apart by more than ROUTE_TOL."""
-    try:
-        result = order_param_sq(n, offset, kp, width, precision=prec, method=method)
-    except SizeGuardError as exc:
-        _size_guard(
-            exc,
-            hint="use --method det for large widths" if method == "sum" else None,
-        )
+    """`order_param_sq`, and (Q, P, route, route, difference) for each route
+    pair apart by more than ROUTE_TOL."""
+    result = order_param_sq(n, offset, kp, width, precision=prec, method=method)
     failures = [
         (entry["Q"], entry["P"], a, b, _num(diff, prec))
         for entry in result["per_sector"]
@@ -514,6 +498,20 @@ def correlate(n, width, kp, offset, ell, out, fmt):
 
     kp_float = float(kp)
     spectra = lattice.product_spectra(n, width, kp_float)
+    if fmt == "csv":
+        csv_rows = []
+        for q in range(n):
+            p = (q - offset) % n
+            forward, backward = lattice.spectral_overlaps(spectra, q, p)
+            weights = (forward * backward).real
+            moduli = abs(spectra[p].eigenvalues)
+            csv_rows += [
+                {"Q": q, "j": j, "eigenvalue_modulus": repr(float(modulus)),
+                 "overlap_with_maxQ": repr(float(weight))}
+                for j, (modulus, weight) in enumerate(zip(moduli, weights))
+            ]
+        _emit(config, {}, csv_rows=csv_rows)
+        return
     table = [
         {
             "ell": sep,
@@ -532,25 +530,12 @@ def correlate(n, width, kp, offset, ell, out, fmt):
         for q in range(n)
     ) / n
     deviation = abs(float(table[-1]["value"]) - limit)
-    csv_rows = []
-    for q in range(n):
-        p = (q - offset) % n
-        forward, backward = lattice.spectral_overlaps(spectra, q, p)
-        weights = (forward * backward).real
-        moduli = abs(spectra[p].eigenvalues)
-        for j in range(spectra[p].dim):
-            csv_rows.append({
-                "Q": q,
-                "j": j,
-                "eigenvalue_modulus": repr(float(moduli[j])),
-                "overlap_with_maxQ": repr(float(weights[j])),
-            })
     payload = {
         "separations": table,
         "limit": _rec(limit, FLOAT_BITS),
         "final_deviation": repr(deviation),
     }
-    _emit(config, payload, csv_rows=csv_rows)
+    _emit(config, payload)
 
 
 @main.command()

@@ -23,7 +23,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .cyclo import CycNum, gauss_binom, times_binomial, times_geometric
+from .cyclo import (CycNum, add_term, binomial_rows, binomial_vector, cyclic_mul, in_zeta,
+                    rotate, spread, times_binomial, times_geometric, trimmed)
 from .errors import CountingInvariantError, SizeGuardError
 
 # Largest number of total-N configurations an overlap table may sum over.
@@ -126,15 +127,15 @@ def gen_function_pair(config: EdgeConfig) -> tuple[tuple[CycNum, ...], tuple[Cyc
     if config.total != N:
         raise ValueError("closed form needs a configuration of total N")
     top = (N - 1) * L - N
-    binom = _omega_binomials(N)
+    factors = _site_factors(N)
     definition = [[1] + [0] * (N - 1)]
     for n_j, phase in zip(config.n, config.left_sums):
-        factor = [_rotate(binom[n_j + d][d], d * phase) for d in range(N - n_j)]
+        factor = factors[n_j][phase % N]
         product = [[0] * N for _ in range(min(len(definition) + len(factor) - 1, top + 1))]
         for i, vec in enumerate(definition):
             for d, f in enumerate(factor[: len(product) - i]):
                 dst = product[i + d]
-                for t, v in enumerate(_cyclic_mul(vec, f) if d else vec):
+                for t, v in enumerate(cyclic_mul(vec, f) if d else vec):
                     dst[t] += v
         definition = product
 
@@ -143,7 +144,16 @@ def gen_function_pair(config: EdgeConfig) -> tuple[tuple[CycNum, ...], tuple[Cyc
         closed[i * N][0] = (-1) ** i * math.comb(L - 1, i)
     for phase in config.left_sums:
         times_geometric(closed, phase)
-    return _trimmed(map(_in_zeta, definition)), _trimmed(map(_in_zeta, closed))
+    return trimmed(map(in_zeta, definition)), trimmed(map(in_zeta, closed))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _site_factors(N: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
+    """factors[n][phase][d] = [n+d choose d] omega^(d phase) over omega: the
+    site factor sum_d [n+d choose d] (omega^phase t)^d, zero once n + d >= N."""
+    rows = binomial_rows(N)
+    return tuple(tuple(tuple(rotate(rows[n + d][d], d * phase) for d in range(N - n))
+                       for phase in range(N)) for n in range(N))
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +202,7 @@ def calG_table(N: int, L: int) -> GTable:
         raise SizeGuardError(
             "overlap table needs %d configurations (guard %d)" % (n_configs, ENUM_GUARD)
         )
-    binom = _omega_binomials(N)
-    # factor[n][phase][d] = [n+d choose d] omega^(d phase), zero once n + d >= N
-    factor = [
-        [[_rotate(binom[n + d][d], d * phase) for d in range(N - n)] for phase in range(N)]
-        for n in range(N)
-    ]
+    factor = _site_factors(N)
     states: dict[tuple[int, int, int], list[int]] = {(0, 0, 0): [1] + [0] * (N - 1)}
     paths = [1] + [0] * N  # prefixes of each total p
     for site in range(L):
@@ -210,11 +215,11 @@ def calG_table(N: int, L: int) -> GTable:
         for (p, a, b), vec in states.items():
             for n in values[p]:
                 for d, f in enumerate(factor[n][(N - p - n) % N]):
-                    _add_term(half, (p, n, a + d, b), _cyclic_mul(vec, f) if d else vec)
+                    add_term(half, (p, n, a + d, b), cyclic_mul(vec, f) if d else vec)
         states = {}
         for (p, n, a, b), vec in half.items():
             for d, f in enumerate(factor[n][p % N]):
-                _add_term(states, (p + n, a, b + d), _cyclic_mul(vec, f) if d else vec)
+                add_term(states, (p + n, a, b + d), cyclic_mul(vec, f) if d else vec)
         reached = [0] * (N + 1)
         for p, count in enumerate(paths):
             for n in values[p]:
@@ -228,7 +233,7 @@ def calG_table(N: int, L: int) -> GTable:
     acc = [[0] * dim for _ in range(dim)]
     for (p, a, b), vec in states.items():
         if p == N:
-            acc[a][b] = _in_zeta(vec).as_int()
+            acc[a][b] = in_zeta(vec).as_int()
     entries = tuple(map(tuple, acc))
     for a in range(dim):
         for b in range(a):
@@ -253,22 +258,6 @@ def calG_table(N: int, L: int) -> GTable:
 # (lam, mu) is the kernel of (lam[::-1], mu[::-1]).
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _omega_binomials(N: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """[a choose b] at omega for 0 <= b <= a < N, as integer vectors in
-    Z[y]/(y^N - 1) with y = omega: the q-Pascal recursion with q = y."""
-    rows = [((1,) + (0,) * (N - 1),)]
-    for a in range(1, N):
-        prev = rows[-1]
-        row = [rows[0][0]]
-        for b in range(1, a):
-            # [a, b] = [a-1, b-1] + y^b [a-1, b]
-            row.append(tuple(prev[b - 1][t] + prev[b][(t - b) % N] for t in range(N)))
-        row.append(rows[0][0])
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _exchange_transfer(
     N: int, sites: list[tuple[tuple[int, ...], tuple[int, ...]]], n_top: int
 ) -> dict[tuple[int, int, int], tuple[int, ...]]:
@@ -281,52 +270,29 @@ def _exchange_transfer(
     factor omega^(nT) leaves the sum, so a left-to-right transfer over
     the states (mu prefix, lam prefix, n prefix) yields every total pair.
     The states hold integer vectors in Z[y]/(y^N - 1), y = omega, where a
-    phase is an index rotation; `_in_zeta` maps a kept entry to Z[zeta]."""
-    binom = _omega_binomials(N)
+    phase is an index rotation."""
+    binom = binomial_rows(N)
+    factors = _site_factors(N)
     # [n_i + lam_i choose n_i] omega^(-n_i lam_i), zero once n_i + lam_i >= N
-    lam_weight = [
-        [_rotate(binom[ni + li][ni], -ni * li) for li in range(N - ni)] for ni in range(N)
-    ]
+    lam_weight = [[factors[li][-li % N][ni] for li in range(N - ni)] for ni in range(N)]
     states: dict[tuple[int, int, int], list[int]] = {(0, 0, 0): [1] + [0] * (N - 1)}
     for mus, lams in sites:
         new: dict[tuple[int, int, int], list[int]] = {}
         ni_cap = min(max(mus), N - 1 - min(lams))
         for (mp, lp, np_), vec in states.items():
             for ni in range(min(ni_cap, n_top - np_) + 1):
-                shifted = _rotate(vec, ni * (mp - np_ - lp))
+                shifted = rotate(vec, ni * (mp - np_ - lp))
                 for mi in mus:
                     if mi < ni:
                         continue
-                    by_mu = _cyclic_mul(shifted, binom[mi][ni]) if ni else shifted
+                    by_mu = cyclic_mul(shifted, binom[mi][ni]) if ni else shifted
                     for li in lams:
                         if li >= N - ni:
                             continue
-                        term = _cyclic_mul(by_mu, lam_weight[ni][li]) if ni else by_mu
-                        _add_term(new, (mp + mi, lp + li, np_ + ni), term)
+                        term = cyclic_mul(by_mu, lam_weight[ni][li]) if ni else by_mu
+                        add_term(new, (mp + mi, lp + li, np_ + ni), term)
         states = new
-    return {(M, T, n): _rotate(vec, n * T) for (M, T, n), vec in states.items()}
-
-
-def _spread(vec) -> list[int]:
-    """An element of Z[y]/(y^N - 1), y = omega, as a vector over zeta in
-    Z[x]/(x^(2N) - 1): y -> x^2 is a ring homomorphism, so the exact value
-    is kept."""
-    return [c for v in vec for c in (v, 0)]
-
-
-def _in_zeta(vec) -> CycNum:
-    """An element of Z[y]/(y^N - 1), y = omega, in Z[zeta]."""
-    return CycNum(2 * len(vec), _spread(vec))
-
-
-def _trimmed(coeffs) -> tuple[CycNum, ...]:
-    """CycNum coefficients of a polynomial with its trailing zeros trimmed.
-    Vectors that agree in Z[zeta] may differ as vectors (by multiples of
-    Phi_2N), so polynomials are compared only in this form."""
-    out = list(coeffs)
-    while out and out[-1].is_zero():
-        out.pop()
-    return tuple(out)
+    return {(M, T, n): rotate(vec, n * T) for (M, T, n), vec in states.items()}
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -341,20 +307,6 @@ def _exchange_orders(N: int, L: int) -> tuple[dict[tuple[int, int], tuple[int, .
     return orders
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def exchange_table(N: int, L: int, n: int) -> tuple[tuple[CycNum, ...], ...]:
-    """table[M][T]: the order-n exchange kernel summed over every
-    configuration pair with sum(mu) = M and sum(lam) = T, for all M and T
-    in [0, (N-1)L] at once; every order is read from one shared transfer."""
-    if not 0 <= n <= N:
-        raise ValueError("kernel order must lie in [0, N]")
-    top = (N - 1) * L
-    table = [[CycNum.zero(2 * N)] * (top + 1) for _ in range(top + 1)]
-    for (M, T), vec in _exchange_orders(N, L)[n].items():
-        table[M][T] = _in_zeta(vec)
-    return tuple(map(tuple, table))
-
-
 def _pair_kernels(mu: tuple[int, ...], lam: tuple[int, ...], N: int) -> list[tuple[int, ...]]:
     """The exchange kernel of one configuration pair at every order n in
     [0, sum(mu)], as vectors over omega, from one transfer whose sites
@@ -366,43 +318,6 @@ def _pair_kernels(mu: tuple[int, ...], lam: tuple[int, ...], N: int) -> list[tup
     for (_, _, n), vec in _exchange_transfer(N, sites, sum(mu)).items():
         kernels[n] = vec
     return kernels
-
-
-def exchange_sums(
-    mu: tuple[int, ...], lam: tuple[int, ...], N: int
-) -> tuple[CycNum, ...]:
-    """The exchange kernel of one configuration pair at every order n in
-    [0, sum(mu)], in Z[zeta]."""
-    return tuple(map(_in_zeta, _pair_kernels(mu, lam, N)))
-
-
-def _add_term(acc: dict, key, term) -> None:
-    """acc[key] += term for integer vectors in Z[y]/(y^N - 1); a new key
-    takes a copy, so the caller may pass a vector it still holds."""
-    vec = acc.get(key)
-    if vec is None:
-        acc[key] = list(term)
-    else:
-        for t, v in enumerate(term):
-            vec[t] += v
-
-
-def _rotate(vec, e: int) -> tuple[int, ...]:
-    """vec times y^e in Z[y]/(y^len(vec) - 1)."""
-    e %= len(vec)
-    return tuple(vec[-e:] + vec[:-e]) if e else tuple(vec)
-
-
-def _cyclic_mul(a, b) -> list[int]:
-    """Product in Z[y]/(y^N - 1), N = len(a) = len(b)."""
-    N = len(a)
-    out = [0] * N
-    for k, c in enumerate(b):
-        if c:
-            for t, v in enumerate(a):
-                if v:
-                    out[(t + k) % N] += c * v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -457,31 +372,25 @@ def identity_check(N: int, L: int) -> dict:
     }
 
 
-def _correction_from_exchange(
-    N: int, L: int, Q: int, P: int, ell: int, j: int
-) -> CycNum:
+def _recursion_term(N: int, L: int, Q: int, P: int, ell: int, j: int, k: int) -> tuple:
+    """[N-P+Q choose Q-k] omega^(k^2 - kP) times the exchange kernel of
+    order P - k summed over every configuration pair with totals
+    (l+1)N + Q + P - k and jN + k (`_exchange_orders`), as a vector over
+    omega; zero where no pair has those totals."""
+    inner = _exchange_orders(N, L)[P - k].get(((ell + 1) * N + Q + P - k, j * N + k))
+    if inner is None:
+        return (0,) * N
+    return rotate(cyclic_mul(inner, binomial_vector(N - P + Q, Q - k, N)), k * k - k * P)
+
+
+def _correction_from_exchange(N: int, L: int, Q: int, P: int, ell: int, j: int) -> CycNum:
     """The correction term of the table recursion, evaluated from the
-    exchange kernels: the sum over P-N < k <= Q of
-    [N-P+Q choose Q-k] omega^(k^2 - kP) times the exchange sum of order
-    P - k over all configuration pairs with totals (l+1)N + Q + P - k and
-    jN + k (`exchange_table`).  The q-binomial is nonzero for every k in
-    [P-N, Q]; the term k = P-N, of exchange order N, is the recursion's
-    shift entry and is not part of the correction."""
-    order = 2 * N
-    total = CycNum.zero(order)
-    for k in range(P - N + 1, Q + 1):
-        mu_total = (ell + 1) * N + Q + P - k
-        lam_total = j * N + k
-        if not 0 <= mu_total <= (N - 1) * L:
-            continue
-        if not 0 <= lam_total <= (N - 1) * L:
-            continue
-        inner = exchange_table(N, L, P - k)[mu_total][lam_total]
-        prefactor = gauss_binom(N - P + Q, Q - k, N) * CycNum.omega_pow(
-            k * k - k * P, order
-        )
-        total = total + prefactor * inner
-    return total
+    exchange kernels: the sum of `_recursion_term` over P-N < k <= Q.  The
+    q-binomial is nonzero for every k in [P-N, Q]; the term k = P-N, of
+    exchange order N, is the recursion's shift entry and is not part of
+    the correction."""
+    terms = [_recursion_term(N, L, Q, P, ell, j, k) for k in range(P - N + 1, Q + 1)]
+    return in_zeta([sum(column) for column in zip(*terms)])
 
 
 def _correction_from_counts(lam, Q: int, P: int, ell: int, j: int) -> int:
@@ -494,14 +403,16 @@ def _correction_from_counts(lam, Q: int, P: int, ell: int, j: int) -> int:
 
 
 def uqp_check(N: int, L: int) -> dict:
-    """Verify three exact statements about the table recursion, for all
+    """Verify four exact statements about the table recursion, for all
     P >= Q and all (l, j) in range:
 
       1. the exchange-kernel form of the correction term equals its
          closed form in level degeneracies (a rational integer);
       2. the recursion  entry(lN+Q, jN+P) = (l-j) Lam^Q_{l+1} Lam^P_j
          + entry((l+1)N+Q, (j-1)N+P) + correction  holds on the table;
-      3. for P = Q the correction collapses to Lam^Q_{l+1} Lam^Q_j."""
+      3. for P = Q the correction collapses to Lam^Q_{l+1} Lam^Q_j;
+      4. the recursion term k = P-N, of exchange order N, is the shift
+         entry  entry((l+1)N+Q, (j-1)N+P)."""
     table = calG_table(N, L)
     lam = _level_table(N, L)
     checked = 0
@@ -514,11 +425,8 @@ def uqp_check(N: int, L: int) -> dict:
                 continue
             kernel = _correction_from_exchange(N, L, Q, P, ell, j)
             closed = _correction_from_counts(lam, Q, P, ell, j)
-            recursion = (
-                (ell - j) * lam[Q][ell + 1] * lam[P][j]
-                + table.entry(a + N, b - N)
-                + closed
-            )
+            shifted = table.entry(a + N, b - N)
+            recursion = (ell - j) * lam[Q][ell + 1] * lam[P][j] + shifted + closed
             checked += 1
             problems = {}
             if not kernel.is_rational_int() or kernel.as_int() != closed:
@@ -527,6 +435,9 @@ def uqp_check(N: int, L: int) -> dict:
                 problems["recursion"] = (recursion, table.entry(a, b))
             if P == Q and closed != lam[Q][ell + 1] * lam[Q][j]:
                 problems["equal_charge_product"] = closed
+            shift = in_zeta(_recursion_term(N, L, Q, P, ell, j, P - N))
+            if not shift.is_rational_int() or shift.as_int() != shifted:
+                problems["shift_entry"] = (repr(shift), shifted)
             if problems:
                 failures.append({"row": a, "col": b, **problems})
     return {
@@ -564,7 +475,7 @@ def ibi_check(N: int, L: int, mu, lam) -> dict:
     def alternating(mu, lam):
         # sum_n (-1)^n omega^(n^2/2) (exchange kernel)_n t^n over zeta,
         # with (-1)^n omega^(n^2/2) = zeta^(n^2 + nN)
-        poly = [list(_rotate(_spread(vec), n * n + n * N)) for n, vec in
+        poly = [list(rotate(spread(vec), n * n + n * N)) for n, vec in
                 enumerate(_pair_kernels(mu, lam, N))]
         return poly + [[0] * order for _ in range(size - len(poly))]
 
@@ -576,8 +487,8 @@ def ibi_check(N: int, L: int, mu, lam) -> dict:
         times_binomial(rhs, 1, 1 + 2 * P + 2 * i, -1)
     for _ in range(abs(power)):
         times_binomial(rhs if power > 0 else lhs, N, 0, 1)
-    lhs = _trimmed(CycNum(order, vec) for vec in lhs)
-    rhs = _trimmed(CycNum(order, vec) for vec in rhs)
+    lhs = trimmed(CycNum(order, vec) for vec in lhs)
+    rhs = trimmed(CycNum(order, vec) for vec in rhs)
     equal = lhs == rhs
     return {
         "N": N,

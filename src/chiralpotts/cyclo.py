@@ -8,13 +8,15 @@ exactly representable, which the alternating-sum identities need.
 A CycNum is an integer vector over the power basis {zeta^0, ..., zeta^(2N-1)},
 kept in the canonical form obtained by reducing modulo the cyclotomic
 polynomial Phi_2N.  All coefficients are Python ints, so nothing overflows.
-The generating functions in t are lists of unreduced integer vectors,
-multiplied in place by `times_binomial` and `times_geometric`.
+The computations run on unreduced integer vectors over omega or zeta
+instead; every helper on those vectors lives here, the Gaussian binomials
+at omega among them, and a vector becomes a CycNum only to be compared.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -263,51 +265,64 @@ class CycNum:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian binomials at omega
-
-
-_PASCAL: dict[int, list[list[CycNum]]] = {}
-
-
-def gauss_binom(a: int, b: int, N: int) -> CycNum:
-    """The Gaussian binomial [a choose b] at omega = exp(2 pi i / N).
-
-    Built by the q-Pascal recursion
-        [a, b] = [a-1, b-1] + omega^b [a-1, b],
-    so no division ever happens.  Returns 0 outside 0 <= b <= a.
-
-    >>> gauss_binom(5, 0, 3).as_int()
-    1
-    >>> gauss_binom(4, 2, 2).as_int()
-    2
-    """
-    if N < 2:
-        raise ValueError("need N >= 2")
-    if a < 0:
-        raise ValueError("need a >= 0")
-    order = 2 * N
-    if b < 0 or b > a:
-        return CycNum.zero(order)
-    rows = _PASCAL.setdefault(N, [[CycNum.integer(1, order)]])
-    while len(rows) <= a:
-        prev = rows[-1]
-        arow = len(rows)
-        row = [CycNum.integer(1, order)]
-        for k in range(1, arow):
-            row.append(prev[k - 1] + CycNum.omega_pow(k, order) * prev[k])
-        row.append(CycNum.integer(1, order))
-        rows.append(row)
-    return rows[a][b]
-
-
-# ---------------------------------------------------------------------------
-# polynomials in t over integer vectors
+# integer vectors over omega and zeta
 #
-# A polynomial in the formal variable t is a list of coefficient vectors,
-# constant first, each an element of Z[x]/(x^n - 1) for a root of unity x
-# (omega or zeta), where a power of x is an index rotation.  The list has
-# a fixed length that truncates every product; a vector is reduced to its
-# canonical CycNum only at the end.
+# An element of Z[omega] or Z[zeta] is an integer vector in Z[x]/(x^n - 1)
+# for the root of unity x it is a polynomial in (n = N for omega, 2N for
+# zeta), where a power of x is an index rotation.  Vectors stay unreduced
+# through every sum and product and become canonical CycNums only to be
+# compared.  A polynomial in the formal variable t is a list of such
+# vectors, constant first, whose fixed length truncates every product.
+
+
+def rotate(vec, e: int) -> tuple[int, ...]:
+    """vec times x^e in Z[x]/(x^len(vec) - 1)."""
+    e %= len(vec)
+    return tuple(vec[-e:] + vec[:-e]) if e else tuple(vec)
+
+
+def cyclic_mul(a, b) -> list[int]:
+    """Product in Z[x]/(x^n - 1), n = len(a) = len(b)."""
+    n = len(a)
+    out = [0] * n
+    for k, c in enumerate(b):
+        if c:
+            for t, v in enumerate(a):
+                if v:
+                    out[(t + k) % n] += c * v
+    return out
+
+
+def add_term(acc: dict, key, term) -> None:
+    """acc[key] += term for integer vectors; a new key takes a copy, so
+    the caller may pass a vector it still holds."""
+    vec = acc.get(key)
+    if vec is None:
+        acc[key] = list(term)
+    else:
+        for t, v in enumerate(term):
+            vec[t] += v
+
+
+def spread(vec) -> list[int]:
+    """A vector over omega as a vector over zeta; omega -> zeta^2 is a ring
+    homomorphism Z[y]/(y^N - 1) -> Z[x]/(x^(2N) - 1), so the value is kept."""
+    return [c for v in vec for c in (v, 0)]
+
+
+def in_zeta(vec) -> CycNum:
+    """A vector over omega as its canonical element of Z[zeta]."""
+    return CycNum(2 * len(vec), spread(vec))
+
+
+def trimmed(coeffs) -> tuple[CycNum, ...]:
+    """CycNum coefficients of a polynomial with its trailing zeros trimmed.
+    Vectors that agree in Z[zeta] may differ as vectors (by multiples of
+    Phi_2N), so polynomials are compared only in this form."""
+    out = list(coeffs)
+    while out and out[-1].is_zero():
+        out.pop()
+    return tuple(out)
 
 
 def times_binomial(poly: list[list[int]], step: int, e: int, sign: int) -> None:
@@ -329,3 +344,52 @@ def times_geometric(poly: list[list[int]], e: int) -> None:
         for t, v in enumerate(poly[k - 1]):
             if v:
                 dst[(t + e) % n] += v
+
+
+# ---------------------------------------------------------------------------
+# Gaussian binomials at omega
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def binomial_rows(N: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """rows[a][b] = [a choose b] at omega for 0 <= b <= a < N, as vectors
+    over omega, by the q-Pascal recursion [a, b] = [a-1, b-1] + omega^b
+    [a-1, b], so no division ever happens."""
+    one = (1,) + (0,) * (N - 1)
+    rows = [(one,)]
+    for a in range(1, N):
+        prev = rows[-1]
+        middle = (tuple(prev[b - 1][t] + prev[b][(t - b) % N] for t in range(N))
+                  for b in range(1, a))
+        rows.append((one, *middle, one))
+    return tuple(rows)
+
+
+def binomial_vector(a: int, b: int, N: int) -> tuple[int, ...]:
+    """[a choose b] at omega = exp(2 pi i / N) as a vector over omega, zero
+    outside 0 <= b <= a.  Rows a >= N follow from the q-Lucas theorem at a
+    primitive N-th root of unity (Desarmenien 1982): [a choose b] =
+    C(a div N, b div N) [a mod N choose b mod N], zero if b mod N > a mod N."""
+    if N < 2:
+        raise ValueError("need N >= 2")
+    if a < 0:
+        raise ValueError("need a >= 0")
+    (a_high, a_low), (b_high, b_low) = divmod(a, N), divmod(b, N)
+    if not 0 <= b <= a or b_low > a_low:
+        return (0,) * N
+    scale = math.comb(a_high, b_high)
+    return tuple(scale * c for c in binomial_rows(N)[a_low][b_low])
+
+
+def gauss_binom(a: int, b: int, N: int) -> CycNum:
+    """The Gaussian binomial [a choose b] at omega = exp(2 pi i / N) in
+    Z[zeta], the canonical form of `binomial_vector`; 0 outside 0 <= b <= a.
+
+    >>> gauss_binom(5, 0, 3).as_int()
+    1
+    >>> gauss_binom(4, 2, 2).as_int()
+    2
+    >>> gauss_binom(6, 3, 3).as_int()  # C(2, 1) [0 choose 0]
+    2
+    """
+    return in_zeta(binomial_vector(a, b, N))

@@ -42,7 +42,7 @@ from typing import NoReturn
 import mpmath
 
 from .combi import lambda_block
-from .cyclo import CycNum, times_binomial
+from .cyclo import CycNum, rotate, times_binomial
 from .errors import (
     CountingInvariantError,
     DomainError,
@@ -111,8 +111,8 @@ def drinfeld_projection(N: int, L: int, Q: int) -> tuple[int, ...]:
                 if i != n:
                     times_binomial(power, 1, 2 * i, -1)
         for dst, vec in zip(total, power):
-            for t, v in enumerate(vec):
-                dst[(t - 2 * n * Q) % order] += v
+            for t, v in enumerate(rotate(vec, -2 * n * Q)):
+                dst[t] += v
     coeffs = [CycNum(order, vec) for vec in total]
     for k, c in enumerate(coeffs):
         if not c.is_zero() and (k - Q) % N != 0:

@@ -208,7 +208,8 @@ def dhat_sum(inp: FormFactorInput):
     determinant route is the intended tool."""
     if inp.mp > SUBSET_SUM_CAP:
         raise SizeGuardError(
-            "subset sum over %d bra roots exceeds the cap of %d; use dhat_det"
+            "subset sum over %d bra roots exceeds the cap of %d; "
+            "use --method det for large widths"
             % (inp.mp, SUBSET_SUM_CAP)
         )
     with mpmath.workprec(inp.working):

@@ -362,9 +362,6 @@ class SectorMatrix:
         return self.op.toarray()
 
 
-_PRODUCT_CHECKED: set[tuple] = set()
-
-
 def _site_kernel(N: int, q: RapidityPoint) -> np.ndarray:
     """kernel[t, b, c] = W(b - t) Wbar(c - t), the one-site factor of T
     (upper spin t over lower spins b and c), with the weights between the
@@ -478,27 +475,36 @@ def build_sector_transfer(
         raise CurveMismatchError(f"rapidity modulus {q.kp} differs from {kp}")
     if not 0 <= Q < N:
         raise ValueError(f"sector index Q={Q} outside [0, {N})")
-    layers, layers_hat = _transfer_layers(q, L)
-    omega = np.exp(2j * np.pi / N)
-    phases = omega ** (-(np.arange(N) * Q) % N)
-    t_block = np.tensordot(phases, layers, axes=(0, 0))
-    t_hat_block = np.tensordot(phases, layers_hat, axes=(0, 0))
-    check_key = (N, L, Q, kp, q.x, q.y, q.mu)
-    if N**L <= SPIN_CHECK_DIM_CAP and check_key not in _PRODUCT_CHECKED:
-        t_spin, t_hat_spin = spin_transfer(q, L)
-        target = _sector_of_spin_product(t_spin @ t_hat_spin, N, L, Q)
-        got = t_block @ t_hat_block
-        residual = np.max(np.abs(got - target)) / max(1.0, np.max(np.abs(target)))
-        if residual > 1e-12:
-            raise CurveMismatchError(
-                f"sector product check failed: residual {residual:.3e} "
-                f"at N={N}, L={L}, Q={Q}"
-            )
-        _PRODUCT_CHECKED.add(check_key)
+    t_block, t_hat_block = _sector_blocks(q, L, Q)
+    if N**L <= SPIN_CHECK_DIM_CAP:
+        _check_sector_product(q, L, Q)
     return (
         SectorMatrix(N=N, L=L, Q=Q, kp=kp, op=t_block),
         SectorMatrix(N=N, L=L, Q=Q, kp=kp, op=t_hat_block),
     )
+
+
+def _sector_blocks(q: RapidityPoint, L: int, Q: int) -> tuple[np.ndarray, ...]:
+    """Charge-Q blocks of T and That: Fourier sums of the cached layers."""
+    phases = np.exp(2j * np.pi / q.N) ** (-(np.arange(q.N) * Q) % q.N)
+    layers = _transfer_layers(q, L)
+    return tuple(np.tensordot(phases, layer, axes=(0, 0)) for layer in layers)
+
+
+@functools.lru_cache(maxsize=None)
+def _check_sector_product(q: RapidityPoint, L: int, Q: int) -> None:
+    """Verify (T That)_Q = T_Q That_Q against the spin-basis product, once
+    per rapidity, width and sector; raises CurveMismatchError otherwise."""
+    t_block, t_hat_block = _sector_blocks(q, L, Q)
+    t_spin, t_hat_spin = spin_transfer(q, L)
+    target = _sector_of_spin_product(t_spin @ t_hat_spin, q.N, L, Q)
+    got = t_block @ t_hat_block
+    residual = np.max(np.abs(got - target)) / max(1.0, np.max(np.abs(target)))
+    if residual > 1e-12:
+        raise CurveMismatchError(
+            f"sector product check failed: residual {residual:.3e} "
+            f"at N={q.N}, L={L}, Q={Q}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -965,7 +971,6 @@ def overlap_product(
     kp: float,
     Q: int,
     P: int,
-    q: RapidityPoint | None = None,
     spectra: list[SectorSpectrum] | None = None,
 ) -> float:
     """Product of the two cross overlaps of dominant sector eigenvectors.
@@ -976,7 +981,7 @@ def overlap_product(
     only normalization freedom the biorthogonal systems leave.
     """
     if spectra is None:
-        spectra = product_spectra(N, L, kp, q)
+        spectra = product_spectra(N, L, kp)
     spec_q = spectra[Q % N]
     spec_p = spectra[P % N]
     forward = spec_q.left[0] @ spec_p.right[:, 0]
@@ -990,7 +995,6 @@ def pair_correlation(
     kp: float,
     r: int,
     ell: int,
-    q: RapidityPoint | None = None,
     spectra: list[SectorSpectrum] | None = None,
 ) -> float:
     """Charge-r pair correlation across 2*ell rows of the cylinder.
@@ -1013,7 +1017,7 @@ def pair_correlation(
     if not 0 < r < N:
         raise ValueError(f"charge offset r={r} outside (0, {N})")
     if spectra is None:
-        spectra = product_spectra(N, L, kp, q)
+        spectra = product_spectra(N, L, kp)
     total = 0.0 + 0.0j
     for Q in range(N):
         P = (Q - r) % N

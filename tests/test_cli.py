@@ -235,6 +235,21 @@ def test_size_guard_exits_three_with_route_hint(runner):
 
 
 @pytest.mark.parametrize("argv", [
+    "order --N 3 --L 24 --r 1 --kp 0.5 --method all",
+    "order --N 3 --L 24 --r 1 --kp 0.5 --method sum",
+    "formfactor --N 3 --L 24 --Q 0 --P 1 --kp 0.5 --method sum",
+    "sweep --N 3 --r 1 --kp 0.5 --L 24 --method sum",
+], ids=["order-all", "order-sum", "formfactor-sum", "sweep-sum"])
+def test_size_guard_hint_is_written_once(runner, argv):
+    # the subset-sum route's guard names the determinant route once, and
+    # no command adds a second hint of its own
+    result = runner.invoke(cli.main, argv.split())
+    assert result.exit_code == 3
+    assert result.output.count("use ") == 1, result.output
+    assert "use --method det for large widths" in result.output
+
+
+@pytest.mark.parametrize("argv", [
     "order --N 2 --L 4 --r 1 --kp 1e-80",
     "formfactor --N 3 --L 6 --Q 0 --P 2 --kp 1e-70",
     "drinfeld --N 3 --L 6 --Q 1 --kp 1e-90",

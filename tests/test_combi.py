@@ -24,8 +24,6 @@ from chiralpotts.combi import (
     EdgeConfig,
     appendix_suite,
     calG_table,
-    exchange_sums,
-    exchange_table,
     gen_function_pair,
     ibi_check,
     identity_check,
@@ -33,7 +31,7 @@ from chiralpotts.combi import (
     level_counts,
     uqp_check,
 )
-from chiralpotts.cyclo import CycNum, cyclotomic_poly, gauss_binom
+from chiralpotts.cyclo import CycNum, cyclotomic_poly, gauss_binom, in_zeta, trimmed
 from chiralpotts.errors import CountingInvariantError, SizeGuardError
 
 
@@ -344,13 +342,13 @@ def test_zeta_vectors_compare_in_the_ring():
             for i, c in enumerate(phi):
                 b[shift + i] += 7 * c
             assert b != a
-            assert combi._trimmed([CycNum(order, a)]) == combi._trimmed([CycNum(order, b)])
+            assert trimmed([CycNum(order, a)]) == trimmed([CycNum(order, b)])
         for k in range(order):
             b = list(a)
             b[k] += 1
-            assert combi._trimmed([CycNum(order, a)]) != combi._trimmed([CycNum(order, b)])
+            assert trimmed([CycNum(order, a)]) != trimmed([CycNum(order, b)])
     # a coefficient that vanishes in Z[zeta] is trimmed even when its vector is not zero
-    assert combi._trimmed([CycNum(6, [1]), CycNum(6, [1, 0, 1, 0, 1, 0])]) == (CycNum(6, [1]),)
+    assert trimmed([CycNum(6, [1]), CycNum(6, [1, 0, 1, 0, 1, 0])]) == (CycNum(6, [1]),)
 
 
 def test_appendix_suite_reports_wrong_phases(monkeypatch):
@@ -412,7 +410,8 @@ def test_table_against_exchange_kernel():
                     for lam in compositions(b, L, N - 1):
                         acc = acc + exchange_sum(N, mu, lam, N)
                 assert acc.as_int() == table.entry(a, b), (N, L, a, b)
-                assert exchange_table(N, L, N)[a + N][b] == acc, (N, L, a, b)
+                kernel = combi._exchange_orders(N, L)[N].get((a + N, b), (0,) * N)
+                assert in_zeta(kernel) == acc, (N, L, a, b)
 
 
 @pytest.mark.parametrize("N, L", [
@@ -441,7 +440,7 @@ def test_table_rejects_too_small_width():
 def test_table_is_built_once_per_size():
     assert calG_table(3, 4) is calG_table(3, 4)
     assert calG_table.cache_info().maxsize == combi.CACHE_SIZE
-    assert exchange_table.cache_info().maxsize == combi.CACHE_SIZE
+    assert combi._exchange_orders.cache_info().maxsize == combi.CACHE_SIZE
 
 
 def test_table_size_guard():
@@ -502,6 +501,22 @@ def test_correction_closed_values_are_pinned():
         assert uqp_check(N, L)["ok"], (N, L)
 
 
+def test_uqp_check_reports_a_wrong_shift_entry(monkeypatch):
+    # the order-N kernels enter only the fourth statement, at the shift
+    # entry (a + 2N, b - N) of cell (a, b): one unit added to the kernel
+    # that cell (0, N) reads must fail that cell alone, by that statement
+    N, L = 3, 4
+    orders = combi._exchange_orders(N, L)
+    top = dict(orders[N])
+    vec = top[2 * N, 0]
+    top[2 * N, 0] = (vec[0] + 1, *vec[1:])
+    monkeypatch.setattr(combi, "_exchange_orders", lambda N, L: (*orders[:N], top))
+    report = uqp_check(N, L)
+    failed = [(f["row"], f["col"], sorted(f)) for f in report["failures"]]
+    if report["ok"] or failed != [(0, N, ["col", "row", "shift_entry"])]:
+        pytest.fail("wrong shift entry went unreported: %r" % (report["failures"],))
+
+
 def test_uqp_check_larger_sizes():
     for N, L in [(2, 12), (3, 8)]:
         report = uqp_check(N, L)
@@ -509,19 +524,19 @@ def test_uqp_check_larger_sizes():
 
 
 def test_exchange_table_order_zero_counts_pairs():
-    # the order-0 exchange sum is 1 for every configuration pair
+    # the order-0 exchange sum is 1 for every configuration pair, and
+    # every pair of totals is reached
     counts = level_counts(3, 4)
-    table = exchange_table(3, 4, 0)
-    for M, row in enumerate(table):
-        assert [v.as_int() for v in row] == [counts[M] * c for c in counts]
-    with pytest.raises(ValueError):
-        exchange_table(3, 4, 4)
+    table = combi._exchange_orders(3, 4)[0]
+    assert len(table) == len(counts) ** 2
+    for (M, T), vec in table.items():
+        assert in_zeta(vec).as_int() == counts[M] * counts[T]
 
 
 def test_exchange_sum_order_zero_is_one():
     assert exchange_sum(0, (1, 2, 0), (2, 0, 1), 3).as_int() == 1
     assert exchange_sum_dual(0, (1, 2, 0), (2, 0, 1), 3).as_int() == 1
-    assert exchange_sums((1, 2, 0), (2, 0, 1), 3)[0].as_int() == 1
+    assert in_zeta(combi._pair_kernels((1, 2, 0), (2, 0, 1), 3)[0]).as_int() == 1
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
@@ -534,8 +549,8 @@ def test_exchange_sums_match_both_recursions(N):
         for _ in range(20):
             mu = tuple(rng.randrange(N) for _ in range(L))
             lam = tuple(rng.randrange(N) for _ in range(L))
-            direct = exchange_sums(mu, lam, N)
-            dual = exchange_sums(lam[::-1], mu[::-1], N)
+            direct = [in_zeta(vec) for vec in combi._pair_kernels(mu, lam, N)]
+            dual = [in_zeta(vec) for vec in combi._pair_kernels(lam[::-1], mu[::-1], N)]
             assert len(direct) == sum(mu) + 1 and len(dual) == sum(lam) + 1
             for n in range((N - 1) * L + 1):
                 got = direct[n] if n < len(direct) else zero

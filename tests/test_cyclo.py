@@ -5,6 +5,7 @@ q-Pascal recursion used in the implementation: it counts partitions in a
 b x (a-b) box by a first-part DP, then specializes q -> omega.
 """
 
+import doctest
 import functools
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiralpotts import cyclo
 from chiralpotts.cyclo import (
     CycNum,
     cyclotomic_poly,
@@ -199,6 +201,20 @@ def test_gauss_binom_out_of_range():
 )
 def test_gauss_binom_against_box_partitions(N, a, b):
     assert gauss_binom(a, b, N) == box_gauss_binom(a, b, N)
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_gauss_binom_grid_against_box_partitions(N):
+    # every row below N, and past it the q-Lucas carry [a choose b] =
+    # C(a div N, b div N) [a mod N choose b mod N], up to a = 3N
+    for a in range(3 * N + 1):
+        for b in range(a + 1):
+            assert gauss_binom(a, b, N) == box_gauss_binom(a, b, N), (N, a, b)
+
+
+def test_module_examples_run():
+    failed, attempted = doctest.testmod(cyclo)
+    assert failed == 0 and attempted >= 5
 
 
 @settings(max_examples=60)
