@@ -31,8 +31,8 @@ from .errors import CountingInvariantError, SizeGuardError
 # The transfer does not visit them one by one; the bound on their count
 # still decides which sizes are refused (exit 3).
 ENUM_GUARD = 10**7
-# Entries per memoized table; one exact suite reads one overlap table and
-# at most N + 1 exchange tables per size.
+# Entries per memoized table; an exact suite keeps one overlap table and one
+# exchange transfer per (N, L), and one site-factor table per N.
 CACHE_SIZE = 512
 # Alternating-sum pairs checked exhaustively up to this count, else sampled.
 EXHAUSTIVE_PAIRS = 4096

@@ -193,51 +193,15 @@ def boltzmann_weights(
         raise CurveMismatchError(f"rank mismatch: N={p.N} vs N={q.N}")
     if abs(p.kp - q.kp) > CURVE_TOL:
         raise CurveMismatchError(f"modulus mismatch: k'={p.kp} vs k'={q.kp}")
-    N = p.N
-    omega = np.exp(2j * np.pi / N)
-    w = np.empty(N, dtype=complex)
-    wbar = np.empty(N, dtype=complex)
-    w[0] = 1.0
-    wbar[0] = 1.0
-    ratio_w = 1.0 + 0.0j
-    ratio_wbar = 1.0 + 0.0j
-    # A vanishing numerator (q = p makes the conjugate family collapse to a
-    # delta) zeroes every later entry and leaves periodicity trivially true,
-    # so both the unit-period check and the denominators stop mattering for
-    # that family; with live entries a vanishing denominator is a genuine
-    # singularity.
-    vanished_w = False
-    vanished_wbar = False
-    for n in range(1, N + 1):
-        wj = omega**n
-        if not vanished_w:
-            num = q.y - wj * p.x
-            den = p.y - wj * q.x
-            if abs(num) < 1e-13:
-                vanished_w = True
-            elif abs(den) < 1e-13:
-                raise CurveMismatchError(
-                    f"singular weight denominator at n={n} (coincident rapidities)"
-                )
-            else:
-                ratio_w *= (p.mu / q.mu) * num / den
-        if not vanished_wbar:
-            num = omega * p.x - wj * q.x
-            den = q.y - wj * p.y
-            if abs(num) < 1e-13:
-                vanished_wbar = True
-            elif abs(den) < 1e-13:
-                raise CurveMismatchError(
-                    f"singular conjugate-weight denominator at n={n} "
-                    "(coincident rapidities)"
-                )
-            else:
-                ratio_wbar *= (p.mu * q.mu) * num / den
-        if n < N:
-            w[n] = 0.0 if vanished_w else ratio_w
-            wbar[n] = 0.0 if vanished_wbar else ratio_wbar
-    bad_w = not vanished_w and abs(ratio_w - 1.0) > 1e-10
-    bad_wbar = not vanished_wbar and abs(ratio_wbar - 1.0) > 1e-10
+    omega = np.exp(2j * np.pi / p.N)
+    wj = [omega**n for n in range(1, p.N + 1)]
+    w, ratio_w, bad_w = _weight_family(
+        p.mu / q.mu, [q.y - x * p.x for x in wj], [p.y - x * q.x for x in wj], "weight"
+    )
+    wbar, ratio_wbar, bad_wbar = _weight_family(
+        p.mu * q.mu, [omega * p.x - x * q.x for x in wj], [q.y - x * p.y for x in wj],
+        "conjugate-weight",
+    )
     if bad_w or bad_wbar:
         raise CurveMismatchError(
             "weight periodicity failed: "
@@ -245,6 +209,29 @@ def boltzmann_weights(
             f"|Wbar period - 1| = {abs(ratio_wbar - 1.0):.3e}"
         )
     return w, wbar
+
+
+def _weight_family(scale, nums, dens, label: str) -> tuple[np.ndarray, complex, bool]:
+    """Entries 0..N-1 of one weight family, entry n being entry n-1 times
+    scale * nums[n-1] / dens[n-1]; the product over the full period; and
+    whether that product strays from 1.  A vanishing numerator (q = p
+    collapses the conjugate family to a delta) zeroes every later entry
+    and leaves periodicity trivially true; with live entries a vanishing
+    denominator is a genuine singularity."""
+    values = np.zeros(len(nums), dtype=complex)
+    values[0] = 1.0
+    ratio = 1.0 + 0.0j
+    for n, (num, den) in enumerate(zip(nums, dens), start=1):
+        if abs(num) < 1e-13:
+            return values, ratio, False
+        if abs(den) < 1e-13:
+            raise CurveMismatchError(
+                f"singular {label} denominator at n={n} (coincident rapidities)"
+            )
+        ratio *= scale * num / den
+        if n < len(nums):
+            values[n] = ratio
+    return values, ratio, abs(ratio - 1.0) > 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +349,11 @@ class SectorMatrix:
         return self.op.toarray()
 
 
-def _site_kernel(N: int, q: RapidityPoint) -> np.ndarray:
+def _site_kernel(q: RapidityPoint) -> np.ndarray:
     """kernel[t, b, c] = W(b - t) Wbar(c - t), the one-site factor of T
     (upper spin t over lower spins b and c), with the weights between the
     rank-N superintegrable point and q."""
+    N = q.N
     w, wbar = boltzmann_weights(superintegrable_point(N, q.kp), q)
     s = np.arange(N)
     return w[(s[None, :, None] - s[:, None, None]) % N] * wbar[
@@ -373,25 +361,29 @@ def _site_kernel(N: int, q: RapidityPoint) -> np.ndarray:
     ]
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=1)
 def _transfer_layers(q: RapidityPoint, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Shift-resolved layers T(m) and That(m) of both transfer matrices.
 
     Entry [m, i, j] of the first array is the spin-basis element of T
     from a ket row of edge class j and leading spin m to a bra row of edge
     class i and leading spin 0; the second array is the same for That.
-    Charge blocks are Fourier combinations over m, so the layers are
-    cached and shared across sectors.  The ring of `_ring_apply` maps the
-    unit vector of the sigma_1 = 0 row of class j to column j of T; by
-    shift invariance its row of class i and leading spin -m is entry
-    [m, i, j], and That reads the same image after the one-site output
-    translation of `sector_product_operator`.  Columns go N^(L-4) at a
-    time, and at least N, so the ring's work tensor (N^(L+1) numbers per
-    column) stays within one layer from L = 4 on.
+    Charge blocks are Fourier combinations over m, so the layers of the
+    latest rapidity and width are kept and shared by its sectors.  The
+    ring of `_ring_apply` maps the unit vector of the sigma_1 = 0 row of
+    class j to column j of T; by shift invariance its row of class i and
+    leading spin -m is entry [m, i, j], and That reads the same image
+    after the one-site output translation of `sector_product_operator`.
+    Columns go N^(L-4) at a time, and at least N, so the ring's work
+    tensor (N^(L+1) numbers per column) stays within one layer from L = 4
+    on.  For spin dimensions up to SPIN_CHECK_DIM_CAP the identity
+    (T That)_Q = T_Q That_Q is verified in every sector against one
+    spin-basis product (CurveMismatchError otherwise); larger builds rely
+    on the same check having passed at small sizes.
     """
     N = q.N
     dim = edge_dim(N, L)
-    kernel = _site_kernel(N, q)
+    kernel = _site_kernel(q)
     flat, lead = _edge_classes(N, L)
     zero = np.flatnonzero(lead == 0)
     kets = zero[np.argsort(flat[zero])]
@@ -408,7 +400,27 @@ def _transfer_layers(q: RapidityPoint, L: int) -> tuple[np.ndarray, np.ndarray]:
         layers.reshape(N * dim, dim)[dest, cols] = image
         translated = image.reshape(N, dim, -1).swapaxes(0, 1).reshape(image.shape)
         layers_hat.reshape(N * dim, dim)[dest, cols] = translated
+    if N**L <= SPIN_CHECK_DIM_CAP:
+        t_spin, t_hat_spin = spin_transfer(q, L)
+        product = t_spin @ t_hat_spin
+        for Q in range(N):
+            target = _sector_of_spin_product(product, N, L, Q)
+            got = _fourier(layers, Q) @ _fourier(layers_hat, Q)
+            residual = np.max(np.abs(got - target)) / max(1.0, np.max(np.abs(target)))
+            if residual > 1e-12:
+                raise CurveMismatchError(
+                    f"sector product check failed: residual {residual:.3e} "
+                    f"at N={N}, L={L}, Q={Q}"
+                )
     return layers, layers_hat
+
+
+def _fourier(layers: np.ndarray, Q: int) -> np.ndarray:
+    """Charge-Q block of a row operator: the Fourier sum of its layers
+    with phase omega^(-mQ)."""
+    N = len(layers)
+    phases = np.exp(2j * np.pi / N) ** (-(np.arange(N) * Q) % N)
+    return np.tensordot(phases, layers, axes=(0, 0))
 
 
 def spin_transfer(q: RapidityPoint, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -456,55 +468,23 @@ def _sector_of_spin_product(
 
 
 def build_sector_transfer(
-    N: int, L: int, Q: int, q: RapidityPoint, kp: float
+    q: RapidityPoint, L: int, Q: int
 ) -> tuple[SectorMatrix, SectorMatrix]:
-    """Charge-Q blocks (T_Q, That_Q) of the two row transfer matrices.
+    """Charge-Q blocks (T_Q, That_Q) of the two row transfer matrices at q.
 
     The block entry is the Fourier sum over the leading-spin shift m with
-    phase omega^(-mQ).  For spin dimensions up to SPIN_CHECK_DIM_CAP the
-    identity (T That)_Q = T_Q That_Q is verified against the spin-basis
-    product before returning; larger builds rely on the same check having
-    passed at small sizes.
+    phase omega^(-mQ) of the checked layers of `_transfer_layers`.
 
     Raises:
         SizeGuardError: N^(L-1) above the cap.
-        CurveMismatchError: q not on the modulus-kp curve.
+        CurveMismatchError: the sector product check failed.
     """
-    kp = _check_modulus(kp)
-    if abs(q.kp - kp) > CURVE_TOL:
-        raise CurveMismatchError(f"rapidity modulus {q.kp} differs from {kp}")
-    if not 0 <= Q < N:
-        raise ValueError(f"sector index Q={Q} outside [0, {N})")
-    t_block, t_hat_block = _sector_blocks(q, L, Q)
-    if N**L <= SPIN_CHECK_DIM_CAP:
-        _check_sector_product(q, L, Q)
-    return (
-        SectorMatrix(N=N, L=L, Q=Q, kp=kp, op=t_block),
-        SectorMatrix(N=N, L=L, Q=Q, kp=kp, op=t_hat_block),
+    if not 0 <= Q < q.N:
+        raise ValueError(f"sector index Q={Q} outside [0, {q.N})")
+    return tuple(
+        SectorMatrix(N=q.N, L=L, Q=Q, kp=q.kp, op=_fourier(layers, Q))
+        for layers in _transfer_layers(q, L)
     )
-
-
-def _sector_blocks(q: RapidityPoint, L: int, Q: int) -> tuple[np.ndarray, ...]:
-    """Charge-Q blocks of T and That: Fourier sums of the cached layers."""
-    phases = np.exp(2j * np.pi / q.N) ** (-(np.arange(q.N) * Q) % q.N)
-    layers = _transfer_layers(q, L)
-    return tuple(np.tensordot(phases, layer, axes=(0, 0)) for layer in layers)
-
-
-@functools.lru_cache(maxsize=None)
-def _check_sector_product(q: RapidityPoint, L: int, Q: int) -> None:
-    """Verify (T That)_Q = T_Q That_Q against the spin-basis product, once
-    per rapidity, width and sector; raises CurveMismatchError otherwise."""
-    t_block, t_hat_block = _sector_blocks(q, L, Q)
-    t_spin, t_hat_spin = spin_transfer(q, L)
-    target = _sector_of_spin_product(t_spin @ t_hat_spin, q.N, L, Q)
-    got = t_block @ t_hat_block
-    residual = np.max(np.abs(got - target)) / max(1.0, np.max(np.abs(target)))
-    if residual > 1e-12:
-        raise CurveMismatchError(
-            f"sector product check failed: residual {residual:.3e} "
-            f"at N={q.N}, L={L}, Q={Q}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +656,7 @@ def _ring_apply(kernel: np.ndarray, u: np.ndarray, N: int, L: int) -> np.ndarray
 
 
 def sector_product_operator(
-    N: int, L: int, Q: int, q: RapidityPoint
+    q: RapidityPoint, L: int, Q: int
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Matrix-free charge-Q block of T That: v -> T_Q That_Q v.
 
@@ -687,16 +667,17 @@ def sector_product_operator(
     spin s''_(j+1) takes the factors of tau_j).  A sector vector is lifted
     to the spin basis with phases omega^(-Q sigma_1), both operators are
     applied there, and the rows with sigma_1 = 0, one per edge class, are
-    read back, as in the sector check of `build_sector_transfer`.
+    read back, as in the sector check of `_transfer_layers`.
 
     Raises:
         SizeGuardError: the sparse route's estimated bytes above the cap.
         CurveMismatchError: q is not a valid rapidity at its modulus.
     """
+    N = q.N
     if not 0 <= Q < N:
         raise ValueError(f"sector index Q={Q} outside [0, {N})")
     _check_sparse_bytes(N, L)
-    kernel = _site_kernel(N, q)
+    kernel = _site_kernel(q)
     flat, lead = _edge_classes(N, L)
     phases = np.exp(2j * np.pi / N) ** (-(lead * Q) % N)
     rows = np.flatnonzero(lead == 0)
@@ -757,7 +738,7 @@ def certify_ground_state(state: GroundState, q: RapidityPoint) -> TransferCertif
     """
     import scipy.sparse.linalg
 
-    apply = sector_product_operator(state.N, state.L, state.Q, q)
+    apply = sector_product_operator(q, state.L, state.Q)
     ground = state.vector
     image = apply(ground)
     eigenvalue = complex(np.vdot(ground, image))
@@ -940,15 +921,18 @@ def product_spectra(
     The list is indexed by counting charge; entry Q is the spectrum of
     the Fourier block `transfer_block_of_charge(N, L, Q)` (the .Q field
     on each spectrum records that underlying block label).  Defaults to
-    the midpoint of the physical window; pass an explicit point to probe
+    the midpoint of the physical window; pass an explicit point of the
+    same rank and modulus (CurveMismatchError otherwise) to probe
     q-independence.
     """
     if q is None:
         q = physical_point(N, kp)
+    elif q.N != N or abs(q.kp - kp) > CURVE_TOL:
+        raise CurveMismatchError(f"rapidity N={q.N}, k'={q.kp} is off N={N}, k'={kp}")
     out = []
     for charge in range(N):
         block = transfer_block_of_charge(N, L, charge)
-        t_block, t_hat_block = build_sector_transfer(N, L, block, q, kp)
+        t_block, t_hat_block = build_sector_transfer(q, L, block)
         out.append(sector_spectrum(t_block, t_hat_block))
     return out
 
@@ -1080,32 +1064,27 @@ class DiagnosticsReport:
     partition_degenerate: tuple[float, ...]
 
 
-def diagnostics(
-    N: int,
-    L: int,
-    kp: float,
-    powers: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
-) -> DiagnosticsReport:
+def diagnostics(N: int, L: int, kp: float) -> DiagnosticsReport:
     """Measure the integrability and degeneracy fingerprints at one size.
 
     Commutators are evaluated per charge sector at two distinct points
-    of the physical rapidity window; spectra reuse the default midpoint.
-    Pure measurement: nothing here raises beyond the size guard and the
-    solver contracts.
+    of the physical rapidity window, all blocks of one point before the
+    next; spectra reuse the default midpoint.  Pure measurement: nothing
+    here raises beyond the size guard and the solver contracts.
     """
     q_low = physical_point(N, kp, fraction=0.35)
     q_high = physical_point(N, kp, fraction=0.65)
+    blocks = [transfer_block_of_charge(N, L, charge) for charge in range(N)]
+    t_low = [build_sector_transfer(q_low, L, block)[0].mat for block in blocks]
     tt, th = [], []
-    for charge in range(N):
-        block = transfer_block_of_charge(N, L, charge)
-        t_low, _ = build_sector_transfer(N, L, block, q_low, kp)
-        t_high, _ = build_sector_transfer(N, L, block, q_high, kp)
-        ham = build_hamiltonian(N, L, block, kp)
-        tt.append(relative_commutator(t_low.mat, t_high.mat))
-        th.append(relative_commutator(t_low.mat, ham.mat))
+    for t, block in zip(t_low, blocks):
+        t_high, _ = build_sector_transfer(q_high, L, block)
+        tt.append(relative_commutator(t, t_high.mat))
+        th.append(relative_commutator(t, build_hamiltonian(N, L, block, kp).mat))
     spectra = product_spectra(N, L, kp)
     top = [abs(spec.eigenvalues[0]) for spec in spectra]
     gaps = [1.0 - top_q / top[0] for top_q in top]
+    powers = (1, 2, 4, 8, 16, 32)
     sector_max, degenerate = [], []
     for m in powers:
         z = sum(np.sum(np.abs(s.eigenvalues) ** (2 * m)) for s in spectra)
@@ -1120,7 +1099,7 @@ def diagnostics(
         max_abs_gap=max(abs(g) for g in gaps),
         tt_commutators=tuple(tt),
         th_commutators=tuple(th),
-        partition_powers=tuple(powers),
+        partition_powers=powers,
         partition_sector_max=tuple(sector_max),
         partition_degenerate=tuple(degenerate),
     )

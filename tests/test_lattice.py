@@ -229,7 +229,7 @@ def test_hand_assembled_sector_blocks_two_state_width_two():
                     phase = np.exp(-2j * np.pi * m * Q / N)
                     t_block[n_bra, n_ket] += phase * t_entry(bra, ket)
                     t_hat_block[n_bra, n_ket] += phase * t_hat_entry(bra, ket)
-        got_t, got_t_hat = build_sector_transfer(N, L, Q, q, kp)
+        got_t, got_t_hat = build_sector_transfer(q, L, Q)
         assert np.allclose(got_t.mat, t_block, atol=1e-13)
         assert np.allclose(got_t_hat.mat, t_hat_block, atol=1e-13)
 
@@ -244,9 +244,7 @@ def spin_block_roundtrip_residual(N: int, L: int, q: RapidityPoint) -> float:
     t_spin, _ = spin_transfer(q, L)
     flat, lead = _edge_classes(N, L)
     omega = np.exp(2j * np.pi / N)
-    blocks = [
-        build_sector_transfer(N, L, Q, q, q.kp)[0].mat for Q in range(N)
-    ]
+    blocks = [build_sector_transfer(q, L, Q)[0].mat for Q in range(N)]
     rebuilt = np.zeros_like(t_spin)
     for row in range(N**L):
         m = (lead - lead[row]) % N
@@ -293,9 +291,9 @@ def test_transfer_matrices_commute_with_each_other():
 def test_sector_index_validation():
     q = physical_point(3, 0.5)
     with pytest.raises(ValueError):
-        build_sector_transfer(3, 3, 3, q, 0.5)
+        build_sector_transfer(q, 3, 3)
     with pytest.raises(CurveMismatchError):
-        build_sector_transfer(3, 3, 0, q, 0.6)
+        product_spectra(3, 3, 0.6, q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +346,7 @@ def test_ring_layers_equal_row_loop(N, L):
 
 @pytest.mark.parametrize("N, L", [(2, 1), (2, 2), (3, 2), (2, 5), (3, 4), (4, 3)])
 def test_batched_ring_equals_column_applies(N, L):
-    kernel = lattice._site_kernel(N, physical_point(N, 0.5))
+    kernel = lattice._site_kernel(physical_point(N, 0.5))
     rng = np.random.default_rng(11)
     u = rng.standard_normal((N**L, 2, 3)) + 1j * rng.standard_normal((N**L, 2, 3))
     got = lattice._ring_apply(kernel, u, N, L)
@@ -363,6 +361,32 @@ def test_product_spectra_build_the_layers_once():
     lattice._transfer_layers.cache_clear()
     product_spectra(3, 4, 0.5)
     assert lattice._transfer_layers.cache_info().misses == 1
+
+
+def test_layers_are_kept_for_one_rapidity_only():
+    product_spectra(3, 4, 0.5)
+    product_spectra(3, 4, 0.6)
+    assert lattice._transfer_layers.cache_info().currsize == 1
+
+
+def test_corrupted_site_kernel_fails_the_sector_product_check(monkeypatch):
+    kernel = lattice._site_kernel
+
+    def corrupted(q):
+        out = kernel(q)
+        out[0, 1, 2] *= 1.01
+        return out
+
+    monkeypatch.setattr(lattice, "_site_kernel", corrupted)
+    lattice._transfer_layers.cache_clear()
+    with pytest.raises(CurveMismatchError, match="sector product check failed"):
+        build_sector_transfer(physical_point(3, 0.5), 3, 0)
+
+
+def test_sector_product_check_survives_optimize_flag(run_optimized):
+    run_optimized(
+        "test_lattice.py::test_corrupted_site_kernel_fails_the_sector_product_check"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +456,7 @@ def test_hamiltonian_hermitian_and_commutes_with_transfer():
         for Q in range(N):
             ham = build_hamiltonian(N, L, Q, kp)
             assert np.max(np.abs(ham.mat - ham.mat.conj().T)) < 1e-12
-            t_block, _ = build_sector_transfer(N, L, Q, q, kp)
+            t_block, _ = build_sector_transfer(q, L, Q)
             assert relative_commutator(t_block.mat, ham.mat) < 1e-10
 
 
@@ -458,7 +482,7 @@ def test_sector_spectrum_contracts():
     N, L, kp = 3, 4, 0.5
     q = physical_point(N, kp)
     for Q in range(N):
-        t_block, t_hat_block = build_sector_transfer(N, L, Q, q, kp)
+        t_block, t_hat_block = build_sector_transfer(q, L, Q)
         spec = sector_spectrum(t_block, t_hat_block)
         mods = np.abs(spec.eigenvalues)
         assert np.all(mods[:-1] >= mods[1:] - 1e-12)
@@ -474,7 +498,7 @@ def test_ground_match_verified_through_width_five():
 
 def test_equal_rapidity_product_is_degenerate():
     p = superintegrable_point(2, 0.5)
-    t_block, t_hat_block = build_sector_transfer(2, 4, 0, p, 0.5)
+    t_block, t_hat_block = build_sector_transfer(p, 4, 0)
     with pytest.raises(DegenerateMaxEigenvalueError):
         sector_spectrum(t_block, t_hat_block)
 
@@ -526,10 +550,10 @@ def test_matrix_free_operator_equals_block_product(N, L):
     q = physical_point(N, 0.5)
     rng = np.random.default_rng(7)
     for Q in range(N):
-        t_block, t_hat_block = build_sector_transfer(N, L, Q, q, 0.5)
+        t_block, t_hat_block = build_sector_transfer(q, L, Q)
         v = rng.standard_normal(t_block.dim) + 1j * rng.standard_normal(t_block.dim)
         expected = t_block.mat @ t_hat_block.mat @ v
-        got = sector_product_operator(N, L, Q, q)(v)
+        got = sector_product_operator(q, L, Q)(v)
         assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
