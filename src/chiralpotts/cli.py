@@ -499,16 +499,10 @@ def correlate(n, width, kp, offset, ell, out, fmt):
         _emit(config, {}, csv_rows=csv_rows)
         return
     table = [
-        {
-            "ell": sep,
-            "value": _num(
-                lattice.pair_correlation(
-                    n, width, kp_float, offset, sep, spectra=spectra
-                ),
-                FLOAT_BITS,
-            ),
-        }
-        for sep in range(ell + 1)
+        {"ell": sep, "value": _num(value, FLOAT_BITS)}
+        for sep, value in enumerate(
+            lattice.correlation_table(spectra, offset, range(ell + 1))
+        )
     ]
     limit = sum(
         lattice.overlap_product(n, width, kp_float, q, (q - offset) % n,

@@ -18,9 +18,12 @@ The correlation route needs the whole spectrum.  The dense layers of
 the two row transfer matrices come from the same site-local ring
 contraction as the certificate, applied to one unit vector per edge
 class; they are Fourier-transformed over the leading spin into charge
-blocks, and the product block is diagonalized densely with separate
-left and right eigenvector systems; the finite-separation pair
-correlation is a sum over that biorthogonal spectrum.
+blocks.  Both blocks commute with the row translation, so each is
+projected onto an exact momentum basis and the product is diagonalized
+densely, one row momentum at a time, with separate left and right
+eigenvector systems: L blocks of about N^(L-1)/L states instead of one
+of N^(L-1).  The finite-separation pair correlation is a sum over that
+biorthogonal spectrum.
 
 All arithmetic is float64/complex128; the observables compared against
 the high-precision route carry comfortably more headroom than the 1e-8
@@ -783,6 +786,9 @@ class SectorSpectrum:
 
     eigenvalues are sorted by modulus descending; right[:, i] and left[i, :]
     are the paired eigenvectors with left @ right = identity.
+    biorth_residual is the largest entry of |left @ right - identity|
+    within the momentum blocks of `sector_spectrum`; across blocks the
+    product vanishes by the unitarity of the momentum basis.
     """
 
     N: int
@@ -799,22 +805,105 @@ class SectorSpectrum:
         return len(self.eigenvalues)
 
 
+def _row_roll(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edge configurations and, per configuration e, the flat index
+    of roll(e) = (e_2, ..., e_L, e_1): the edges of the spin row
+    translated by one site."""
+    configs = edge_configs(N, L)
+    return configs, np.asarray(edge_index(N, np.roll(configs, -1, axis=1)))
+
+
+def _check_translation_invariance(block: SectorMatrix) -> None:
+    """Raise IdentityViolationError unless the block X commutes with the
+    charge-Q row translation (S_Q v)[e] = omega^(Q e_1) v[roll(e)] to
+    1e-12 of its largest entry.  S_Q is a permutation with unit phases,
+    so S_Q X S_Q^H - X = (S_Q X - X S_Q) S_Q^H has the same entries up to
+    order and phase, and S_Q X S_Q^H is one index gather of X."""
+    N, L, Q = block.N, block.L, block.Q
+    configs, target = _row_roll(N, L)
+    phase = np.exp(2j * np.pi / N) ** ((Q * configs[:, 0]) % N)
+    mat = block.mat
+    deviation = np.max(np.abs(
+        phase[:, None] * mat[np.ix_(target, target)] * phase.conj() - mat
+    ))
+    if not deviation <= 1e-12 * np.max(np.abs(mat)):
+        raise IdentityViolationError(
+            f"sector block breaks translation invariance by {deviation:.3e} "
+            f"in sector Q={Q} (N={N}, L={L})"
+        )
+
+
+def _momentum_basis(N: int, L: int, Q: int) -> tuple[object, np.ndarray]:
+    """Unitary eigenbasis U of the charge-Q row translation S_Q (see
+    `_check_translation_invariance`), as a sparse CSC array with its
+    columns sorted by row momentum, and the L + 1 column offsets of the
+    momentum blocks: S_Q U[:, offsets[m]:offsets[m+1]] is that block
+    times exp(2 pi i m / L).
+
+    An orbit of e under roll, of period d and one-period edge sum s,
+    carries momentum m iff m d N = Q s L (mod N L); that vector has entry
+    exp(2 pi i ((m k N - Q (e_1 + ... + e_k) L) mod N L) / (N L)) / sqrt(d)
+    at roll^k(e), e being the orbit's least flat index.  The integer
+    exponents keep U unitary to rounding.
+    """
+    import scipy.sparse
+
+    configs, target = _row_roll(N, L)
+    dim = len(configs)
+    states = np.arange(dim)
+    # rolled[k] is roll^k(e) and partial[k] is e_1 + ... + e_k
+    rolled = np.empty((L + 1, dim), dtype=np.int64)
+    partial = np.zeros((L + 1, dim), dtype=np.int64)
+    rolled[0] = states
+    for k in range(L):
+        rolled[k + 1] = target[rolled[k]]
+        partial[k + 1] = partial[k] + configs[rolled[k], 0]
+    period = L // np.count_nonzero(rolled[:L] == states, axis=0)
+    to_rep = np.argmin(rolled[:L], axis=0)
+    # e = roll^position(rep) for the representative rep = roll^to_rep(e)
+    position = (period - to_rep) % period
+    prefix = partial[to_rep + position, states] - partial[to_rep, states]
+    total = partial[period, states]
+    allowed = (np.arange(L) * period[:, None] * N - Q * total[:, None] * L) % (N * L) == 0
+    rows, momentum = np.nonzero(allowed)
+    keys = momentum * dim + rolled[to_rep, states][rows]
+    columns = np.unique(keys)
+    exponent = (momentum * position[rows] * N - Q * prefix[rows] * L) % (N * L)
+    basis = scipy.sparse.csc_array(
+        (
+            np.exp(2j * np.pi * exponent / (N * L)) / np.sqrt(period[rows]),
+            (rows, np.searchsorted(columns, keys)),
+        ),
+        shape=(dim, dim),
+    )
+    return basis, np.searchsorted(columns // dim, np.arange(L + 1))
+
+
 def _biorthonormalize(
-    values: np.ndarray, right: np.ndarray, left: np.ndarray
+    values: np.ndarray, right: np.ndarray, left: np.ndarray, scale: float
 ) -> tuple[np.ndarray, float]:
     """Rescale left rows so left @ right = identity, cluster-aware.
 
-    Exactly degenerate eigenvalues arrive as clusters after sorting; each
-    cluster is fixed by one small linear solve so the completeness sum
-    works even through the degenerate excited levels this model has.
+    Eigenvalues within 1e-9 scale of their sorted neighbour form a
+    cluster.  Exactly degenerate eigenvalues arrive as such clusters
+    after sorting; each is fixed by one small linear solve so the
+    completeness sum works even through the degenerate excited levels
+    this model has.  Singletons are rescaled together.
     """
-    scale = float(np.max(np.abs(values))) or 1.0
     dim = len(values)
-    start = 0
-    while start < dim:
-        stop = start + 1
-        while stop < dim and abs(values[stop] - values[start]) <= 1e-9 * scale:
-            stop += 1
+    apart = np.abs(np.diff(values)) > 1e-9 * scale
+    starts = np.flatnonzero(np.concatenate(([True], apart)))
+    stops = np.append(starts[1:], dim)
+    sizes = stops - starts
+    single = starts[sizes == 1]
+    gram = np.sum(left[single] * right[:, single].T, axis=1)
+    if not np.all(gram):
+        raise OrthogonalityViolationError(
+            "singular biorthogonal cluster of size 1 at eigenvalue "
+            f"{values[single[gram == 0][0]]:.6e}"
+        )
+    left[single] /= gram[:, None]
+    for start, stop in zip(starts[sizes > 1], stops[sizes > 1]):
         gram = left[start:stop] @ right[:, start:stop]
         try:
             left[start:stop] = np.linalg.solve(gram, left[start:stop])
@@ -823,9 +912,13 @@ def _biorthonormalize(
                 f"singular biorthogonal cluster of size {stop - start} "
                 f"at eigenvalue {values[start]:.6e}"
             ) from exc
-        start = stop
     residual = float(np.max(np.abs(left @ right - np.eye(dim))))
     return left, residual
+
+
+def _by_modulus(values: np.ndarray) -> np.ndarray:
+    """Order of eigenvalues by modulus descending, then by angle."""
+    return np.lexsort((np.angle(values), -np.abs(values)))
 
 
 def sector_spectrum(block: SectorMatrix, pair: SectorMatrix) -> SectorSpectrum:
@@ -835,17 +928,38 @@ def sector_spectrum(block: SectorMatrix, pair: SectorMatrix) -> SectorSpectrum:
     Hamiltonian at the same modulus (from `ground_state`), which is the
     shared-eigenbasis property everything downstream relies on.
 
+    Both factors are first checked to commute with the row translation
+    and projected onto its momentum basis (`_momentum_basis`); each
+    momentum block is diagonalized on its own and its eigenvectors are
+    lifted back to the edge basis.  Left and right vectors of different
+    momenta are orthogonal by construction, so biorthonormalization runs
+    block by block, and its residual is the largest over the blocks.
+
     Raises:
+        IdentityViolationError: a factor breaks translation invariance.
         DegenerateMaxEigenvalueError: top two eigenvalue moduli coincide.
         OrthogonalityViolationError: biorthonormalization failed.
         EigenbasisMismatchError: dominant vector not the chain ground state.
     """
-    mat = block.mat @ pair.mat
-    values, vl, vr = scipy.linalg.eig(mat, left=True, right=True)
-    order = np.lexsort((np.angle(values), -np.abs(values)))
+    _check_translation_invariance(block)
+    _check_translation_invariance(pair)
+    basis, offsets = _momentum_basis(block.N, block.L, block.Q)
+    adjoint = basis.conj().T.tocsr()
+    uh_t, uh_t_hat = adjoint @ block.mat, adjoint @ pair.mat
+    solved = []
+    for start, stop in zip(offsets[:-1], offsets[1:]):
+        if start == stop:
+            continue
+        u = basis[:, start:stop]
+        product = (uh_t[start:stop] @ u) @ (uh_t_hat[start:stop] @ u)
+        values, vl, vr = scipy.linalg.eig(product, left=True, right=True)
+        order = _by_modulus(values)
+        solved.append((start, stop, values[order], vl[:, order], vr[:, order]))
+    # free the projections before the lifted systems are allocated
+    del uh_t, uh_t_hat
+    values = np.concatenate([entry[2] for entry in solved])
+    order = _by_modulus(values)
     values = values[order]
-    right = vr[:, order]
-    left = vl[:, order].conj().T
     if len(values) > 1:
         top, second = abs(values[0]), abs(values[1])
         if top - second <= DEGENERACY_RTOL * top:
@@ -853,8 +967,18 @@ def sector_spectrum(block: SectorMatrix, pair: SectorMatrix) -> SectorSpectrum:
                 f"top eigenvalue moduli {top:.12e} and {second:.12e} "
                 f"coincide in sector Q={block.Q} (N={block.N}, L={block.L})"
             )
-    left, biorth = _biorthonormalize(values, right, left)
-    if biorth > 1e-8:
+    scale = float(np.max(np.abs(values))) or 1.0
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    right = np.empty((block.dim, block.dim), dtype=complex, order="F")
+    left = np.empty((block.dim, block.dim), dtype=complex)
+    biorth = 0.0
+    for start, stop, block_values, vl, vr in solved:
+        block_left, residual = _biorthonormalize(block_values, vr, vl.conj().T, scale)
+        biorth = max(biorth, residual)
+        right[:, rank[start:stop]] = basis[:, start:stop] @ vr
+        left[rank[start:stop]] = block_left @ adjoint[start:stop]
+    if not biorth <= 1e-8:
         raise OrthogonalityViolationError(
             f"biorthonormality residual {biorth:.3e} in sector Q={block.Q}"
         )
@@ -981,13 +1105,29 @@ def pair_correlation(
     ell: int,
     spectra: list[SectorSpectrum] | None = None,
 ) -> float:
-    """Charge-r pair correlation across 2*ell rows of the cylinder.
+    """Charge-r pair correlation across 2*ell rows of the cylinder: one
+    entry of `correlation_table`, after checking ell and r."""
+    if ell < 0:
+        raise ValueError(f"separation index must be nonnegative, got {ell}")
+    if not 0 < r < N:
+        raise ValueError(f"charge offset r={r} outside (0, {N})")
+    if spectra is None:
+        spectra = product_spectra(N, L, kp)
+    return correlation_table(spectra, r, [ell])[0]
+
+
+def correlation_table(
+    spectra: list[SectorSpectrum], r: int, separations
+) -> list[float]:
+    """Charge-r pair correlation at each separation ell, from the spectra
+    of every charge sector.
 
     Averages, over the charge sectors Q, the spectral sums
         sum_j (w^P_j / w^P_max)^ell (l_Q . r^P_j)(l^P_j . r_Q),
-    with P = Q - r mod N and w the two-row eigenvalues.  Separation zero
-    returns 1 by biorthogonal completeness; large separations approach the
-    average of the dominant-overlap products.
+    with P = Q - r mod N and w the two-row eigenvalues.  The overlaps and
+    eigenvalue ratios are formed once for all separations.  Separation
+    zero returns 1 by biorthogonal completeness; large separations
+    approach the average of the dominant-overlap products.
 
     At intermediate separations the spectral sum is genuinely complex for
     N > 2, because the chiral weights themselves are complex away from the
@@ -996,19 +1136,19 @@ def pair_correlation(
     separation zero by completeness, and it vanishes again at large
     separation because the dominant overlap products are real.
     """
-    if ell < 0:
-        raise ValueError(f"separation index must be nonnegative, got {ell}")
-    if not 0 < r < N:
-        raise ValueError(f"charge offset r={r} outside (0, {N})")
-    if spectra is None:
-        spectra = product_spectra(N, L, kp)
-    total = 0.0 + 0.0j
+    N = len(spectra)
+    terms = []
     for Q in range(N):
         P = (Q - r) % N
         forward, backward = spectral_overlaps(spectra, Q, P)
-        ratios = spectra[P].eigenvalues / spectra[P].eigenvalues[0]
-        total += np.sum(ratios**ell * forward * backward)
-    return float(total.real) / N
+        terms.append((spectra[P].eigenvalues / spectra[P].eigenvalues[0], forward, backward))
+    table = []
+    for ell in separations:
+        total = 0.0 + 0.0j
+        for ratios, forward, backward in terms:
+            total += np.sum(ratios**ell * forward * backward)
+        table.append(float(total.real) / N)
+    return table
 
 
 def spectral_overlaps(spectra: list[SectorSpectrum], Q: int, P: int) -> tuple:

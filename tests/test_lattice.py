@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from chiralpotts.errors import (
     DomainError,
     EigenbasisMismatchError,
     IdentityViolationError,
+    OrthogonalityViolationError,
     SizeGuardError,
 )
 from chiralpotts.formfactor import couplings, overlap_product_closed
@@ -27,6 +29,7 @@ from chiralpotts.lattice import (
     build_sector_transfer,
     certified_ground_states,
     certify_ground_state,
+    correlation_table,
     diagnostics,
     digit_rows,
     edge_configs,
@@ -489,6 +492,110 @@ def test_sector_spectrum_contracts():
         assert spec.biorth_residual < 1e-10
 
 
+def _whole_block_spectrum(block, pair):
+    """Reference route: one dense eig of the whole product block, sorted
+    by modulus, with one linear solve per degenerate cluster."""
+    values, vl, vr = scipy.linalg.eig(block.mat @ pair.mat, left=True, right=True)
+    order = np.lexsort((np.angle(values), -np.abs(values)))
+    values, right, left = values[order], vr[:, order], vl[:, order].conj().T
+    scale = np.max(np.abs(values))
+    start = 0
+    while start < len(values):
+        stop = start + 1
+        while stop < len(values) and abs(values[stop] - values[start]) <= 1e-9 * scale:
+            stop += 1
+        cluster = slice(start, stop)
+        left[cluster] = np.linalg.solve(left[cluster] @ right[:, cluster], left[cluster])
+        start = stop
+    return lattice.SectorSpectrum(
+        N=block.N, L=block.L, Q=block.Q, kp=block.kp, eigenvalues=values,
+        right=right, left=left, biorth_residual=0.0,
+    )
+
+
+@pytest.mark.parametrize("N, L", [(2, 1), (2, 2), (3, 2), (3, 4), (2, 6), (4, 4), (2, 9)])
+def test_momentum_blocks_equal_the_whole_block_route(N, L):
+    kp = 0.5
+    q = physical_point(N, kp)
+    spectra = product_spectra(N, L, kp)
+    reference = [
+        _whole_block_spectrum(*build_sector_transfer(q, L, transfer_block_of_charge(N, L, c)))
+        for c in range(N)
+    ]
+    for new, old in zip(spectra, reference):
+        distance = np.abs(new.eigenvalues[:, None] - old.eigenvalues[None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(distance)
+        assert np.max(distance[rows, cols]) <= 1e-12 * abs(old.eigenvalues[0])
+        assert new.biorth_residual < 1e-10
+    for r in range(1, N):
+        got = correlation_table(spectra, r, range(65))
+        want = correlation_table(reference, r, range(65))
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-13
+    for Q in range(N):
+        for P in range(N):
+            got = overlap_product(N, L, kp, Q, P, spectra=spectra)
+            want = overlap_product(N, L, kp, Q, P, spectra=reference)
+            assert abs(got - want) < 1e-13
+
+
+def _translation(N, L, Q):
+    """Dense S_Q: (S_Q v)[e] = omega^(Q e_1) v[roll(e)] in the edge basis."""
+    configs = edge_configs(N, L)
+    op = np.zeros((len(configs), len(configs)), dtype=complex)
+    for row, config in enumerate(configs):
+        op[row, edge_index(N, np.roll(config, -1))] = np.exp(2j * np.pi * Q * config[0] / N)
+    return op
+
+
+@pytest.mark.parametrize("N, L", [(2, 2), (2, 4), (3, 4), (4, 4), (2, 6), (3, 6), (3, 1)])
+def test_momentum_basis_diagonalizes_the_row_translation(N, L):
+    q = physical_point(N, 0.5)
+    for Q in range(N):
+        basis, offsets = lattice._momentum_basis(N, L, Q)
+        u = basis.toarray()
+        dim = len(u)
+        assert offsets[0] == 0 and offsets[-1] == dim
+        assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-14
+        momenta = np.repeat(np.arange(L), np.diff(offsets))
+        shift = _translation(N, L, Q)
+        assert np.max(np.abs(shift @ u - u * np.exp(2j * np.pi * momenta / L))) < 1e-14
+        # a column spans one orbit; those of period d < L take part too
+        assert L == 1 or np.min(np.diff(basis.indptr)) < L
+        for block in build_sector_transfer(q, L, Q):
+            assert relative_commutator(block.mat, shift) < 1e-14
+
+
+def test_translation_breaking_kernel_raises_typed_error(monkeypatch):
+    # past the spin check (N^L = 256), a kernel that is not covariant
+    # under the global spin shift makes blocks that break translation
+    kernel = lattice._site_kernel
+
+    def corrupted(q):
+        out = kernel(q)
+        out[0, 1, 2] *= 1.01
+        return out
+
+    monkeypatch.setattr(lattice, "_site_kernel", corrupted)
+    lattice._transfer_layers.cache_clear()
+    try:
+        t_block, t_hat_block = build_sector_transfer(physical_point(4, 0.5), 4, 1)
+        with pytest.raises(IdentityViolationError, match="translation invariance"):
+            sector_spectrum(t_block, t_hat_block)
+    finally:
+        lattice._transfer_layers.cache_clear()
+
+
+def test_translation_check_survives_optimize_flag(run_optimized):
+    run_optimized("test_lattice.py::test_translation_breaking_kernel_raises_typed_error")
+
+
+def test_singular_singleton_raises_typed_error():
+    left = np.eye(3, dtype=complex)
+    left[1] = [1.0, 0.0, 0.0]
+    with pytest.raises(OrthogonalityViolationError, match="size 1"):
+        lattice._biorthonormalize(np.array([3.0, 2.0, 1.0]), np.eye(3), left, 3.0)
+
+
 def test_ground_match_verified_through_width_five():
     # the shared-eigenbasis identification is checked inside, so passing
     # construction is the assertion
@@ -642,6 +749,23 @@ def test_pair_correlation_completeness_and_limit():
         overlap_product(N, L, kp, Q, (Q - 1) % N, spectra=spectra) for Q in range(N)
     ) / N
     assert abs(pair_correlation(N, L, kp, 1, 64, spectra=spectra) - target) < 1e-10
+
+
+def test_correlation_table_repeats_the_per_separation_sum():
+    N, L, kp = 3, 4, 0.5
+    spectra = product_spectra(N, L, kp)
+    for r in (1, 2):
+        want = []
+        for ell in range(65):
+            total = 0.0 + 0.0j
+            for Q in range(N):
+                P = (Q - r) % N
+                forward, backward = lattice.spectral_overlaps(spectra, Q, P)
+                ratios = spectra[P].eigenvalues / spectra[P].eigenvalues[0]
+                total += np.sum(ratios**ell * forward * backward)
+            want.append(float(total.real) / N)
+        assert correlation_table(spectra, r, range(65)) == want
+        assert [pair_correlation(N, L, kp, r, ell, spectra=spectra) for ell in range(65)] == want
 
 
 def test_pair_correlation_validation():
