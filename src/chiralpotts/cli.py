@@ -23,6 +23,8 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from decimal import Decimal
+from fractions import Fraction
 
 import click
 import mpmath
@@ -75,18 +77,39 @@ class RunConfig:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def _check_kp(kp: str | None, required: bool = True) -> str | None:
-    if kp is None:
-        if required:
-            raise click.UsageError("--kp is required")
-        return None
-    try:
-        value = mpmath.mpf(kp)
-    except Exception:
-        raise click.UsageError(f"--kp must be a decimal number, got {kp!r}")
-    if not 0 < value < 1:
-        raise click.UsageError(f"--kp must lie strictly inside (0, 1), got {kp}")
-    return kp
+def _kp_number(kp: str) -> Fraction | Decimal:
+    """--kp read exactly, in the syntax of mpmath, which every computation
+    reads it with: a ratio as two Python ints (so 1 / 3 and 1/+3 pass), a
+    decimal as a Decimal, whose exponent is never expanded (1e-999999999).
+    mpmath counts an underscore after the point as a digit (0.4_5 reads
+    0.045), so such a string is refused."""
+    mpmath.mpf(kp)
+    if "_" in kp.partition(".")[2].lower().partition("e")[0]:
+        raise ValueError("underscore after the point")
+    num, ratio, den = kp.partition("/")
+    return Fraction(int(num), int(den)) if ratio else Decimal(kp)
+
+
+class Modulus(click.ParamType):
+    """--kp, checked exactly to lie inside (0, 1) and passed on verbatim;
+    on the float lattice its nearest double must lie inside too."""
+
+    name = "kp"
+
+    def __init__(self, lattice: bool = False) -> None:
+        self.lattice = lattice
+
+    def convert(self, value, param, ctx):
+        try:
+            number = _kp_number(value)
+            inside = 0 < number < 1  # a Decimal NaN raises here
+        except (ArithmeticError, ValueError):
+            self.fail(f"must be a decimal number, got {value!r}", param, ctx)
+        if not inside:
+            self.fail(f"must lie strictly inside (0, 1), got {value}", param, ctx)
+        if self.lattice and not 0 < float(number) < 1:
+            self.fail(f"{value} rounds to {float(number)!r}, outside (0, 1)", param, ctx)
+        return value
 
 
 def _check_sector(name: str, value: int | None, N: int) -> None:
@@ -234,7 +257,7 @@ def appendix(n, width, samples, out, fmt):
 @click.option("--N", "n", type=STATES, required=True)
 @click.option("--L", "width", type=WIDTH, required=True)
 @click.option("--Q", "charge", type=int, required=True)
-@click.option("--kp", type=str, default=None,
+@click.option("--kp", type=Modulus(), default=None,
               help="Modulus; include to report the transformed root data.")
 @click.option("--prec", type=PRECISION, default=192, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False))
@@ -242,7 +265,6 @@ def appendix(n, width, samples, out, fmt):
 def drinfeld(n, width, charge, kp, prec, out, fmt):
     """Sector counting polynomial, certified roots, optional transforms."""
     _check_sector("Q", charge, n)
-    kp = _check_kp(kp, required=False)
     config = RunConfig(
         command="drinfeld", N=n, L=width, Q=charge, kp=kp, prec=prec,
         out=out, format=fmt,
@@ -277,7 +299,7 @@ def drinfeld(n, width, charge, kp, prec, out, fmt):
 @click.option("--L", "width", type=WIDTH, required=True)
 @click.option("--Q", "charge", type=int, required=True)
 @click.option("--P", "charge_p", type=int, required=True)
-@click.option("--kp", type=str, required=True)
+@click.option("--kp", type=Modulus(), required=True)
 @click.option("--prec", type=PRECISION, default=192, show_default=True)
 @click.option("--method", type=click.Choice(METHODS),
               default="all", show_default=True)
@@ -289,7 +311,6 @@ def formfactor(n, width, charge, charge_p, kp, prec, method, out, fmt):
     _check_sector("P", charge_p, n)
     if charge == charge_p:
         raise click.UsageError("--Q and --P must name distinct sectors")
-    kp = _check_kp(kp)
     config = RunConfig(
         command="formfactor", N=n, L=width, Q=charge, P=charge_p, kp=kp,
         prec=prec, method=method, out=out, format=fmt,
@@ -321,7 +342,7 @@ def formfactor(n, width, charge, charge_p, kp, prec, method, out, fmt):
 @click.option("--N", "n", type=STATES, required=True)
 @click.option("--L", "width", type=WIDTH, required=True)
 @click.option("--r", "offset", type=int, required=True)
-@click.option("--kp", type=str, required=True)
+@click.option("--kp", type=Modulus(), required=True)
 @click.option("--prec", type=PRECISION, default=192, show_default=True)
 @click.option("--method", type=click.Choice(METHODS),
               default="closed", show_default=True)
@@ -329,7 +350,6 @@ def formfactor(n, width, charge, charge_p, kp, prec, method, out, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
 def order(n, width, offset, kp, prec, method, out, fmt):
     """Squared magnetization of charge r at one width, plus its limit."""
-    kp = _check_kp(kp)
     _check_offset(offset, n)
     config = RunConfig(
         command="order", N=n, L=width, r=offset, kp=kp, prec=prec,
@@ -395,7 +415,7 @@ def _order_payload(result: dict, prec: int) -> dict:
 @main.command()
 @click.option("--N", "n", type=STATES, required=True)
 @click.option("--L", "width", type=WIDTH, required=True)
-@click.option("--kp", type=str, required=True)
+@click.option("--kp", type=Modulus(lattice=True), required=True)
 @click.option("--Q", "charge", type=int, default=None,
               help="Restrict to one bra sector (requires --P).")
 @click.option("--P", "charge_p", type=int, default=None)
@@ -409,7 +429,6 @@ def oracle(n, width, kp, charge, charge_p, prec, out, fmt):
     certified as the dominant vector of the matrix-free transfer product;
     only the sectors of the requested pairs are solved.
     """
-    kp = _check_kp(kp)
     _check_sector("Q", charge, n)
     _check_sector("P", charge_p, n)
     if (charge is None) != (charge_p is None):
@@ -428,7 +447,7 @@ def oracle(n, width, kp, charge, charge_p, prec, out, fmt):
     else:
         pairs = [(charge, charge_p)]
         charges = (charge, charge_p)
-    sectors = lattice.certified_ground_states(n, width, float(kp), charges)
+    sectors = lattice.certified_ground_states(n, width, float(_kp_number(kp)), charges)
     residual = max(cert.eigen_residual for _, cert in sectors.values())
     dominance = max(cert.dominance for _, cert in sectors.values())
     records, rows, failures = [], [], []
@@ -461,7 +480,7 @@ def oracle(n, width, kp, charge, charge_p, prec, out, fmt):
 @main.command()
 @click.option("--N", "n", type=STATES, required=True)
 @click.option("--L", "width", type=WIDTH, required=True)
-@click.option("--kp", type=str, required=True)
+@click.option("--kp", type=Modulus(lattice=True), required=True)
 @click.option("--r", "offset", type=int, required=True)
 @click.option("--ell", type=click.IntRange(min=0), default=64, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False))
@@ -475,14 +494,13 @@ def correlate(n, width, kp, offset, ell, out, fmt):
     its eigenvalue modulus and its overlap weight with the dominant
     vector of the bra sector.
     """
-    kp = _check_kp(kp)
     _check_offset(offset, n)
     config = RunConfig(
         command="correlate", N=n, L=width, r=offset, kp=kp, out=out, format=fmt,
     )
     from . import lattice
 
-    kp_float = float(kp)
+    kp_float = float(_kp_number(kp))
     spectra = lattice.product_spectra(n, width, kp_float)
     if fmt == "csv":
         csv_rows = []
@@ -521,7 +539,7 @@ def correlate(n, width, kp, offset, ell, out, fmt):
 @main.command()
 @click.option("--N", "n", type=STATES, required=True)
 @click.option("--r", "offset", type=int, required=True)
-@click.option("--kp", type=str, required=True)
+@click.option("--kp", type=Modulus(), required=True)
 @click.option("--L", "widths", type=WIDTH, multiple=True, required=True,
               help="Repeat for each width, ascending.")
 @click.option("--prec", type=PRECISION, default=192, show_default=True)
@@ -537,7 +555,6 @@ def sweep(n, offset, kp, widths, prec, method, out, fmt):
     Runtimes appear only in the CSV artifact so the JSON stays
     reproducible byte for byte.
     """
-    kp = _check_kp(kp)
     _check_offset(offset, n)
     if list(widths) != sorted(set(widths)):
         raise click.UsageError("--L values must be strictly ascending")

@@ -1,16 +1,17 @@
-"""Exact arithmetic in the ring of cyclotomic integers Z[zeta].
+"""Exact integer-vector arithmetic in the cyclotomic integers Z[zeta].
 
 Here zeta is a primitive 2N-th root of unity and omega = zeta^2 is the
 primitive N-th root the clock model is built on.  Working with the 2N-th
 root (instead of the N-th) keeps half-integer powers omega^(n^2/2) = zeta^(n^2)
 exactly representable, which the alternating-sum identities need.
 
-A CycNum is an integer vector over the power basis {zeta^0, ..., zeta^(2N-1)},
-kept in the canonical form obtained by reducing modulo the cyclotomic
-polynomial Phi_2N.  All coefficients are Python ints, so nothing overflows.
-The computations run on unreduced integer vectors over omega or zeta
-instead; every helper on those vectors lives here, the Gaussian binomials
-at omega among them, and a vector becomes a CycNum only to be compared.
+Every computation runs on unreduced integer vectors over omega or zeta,
+and every helper on those vectors lives here, the Gaussian binomials at
+omega among them.  A vector becomes a CycNum only to be compared: the
+canonical form of the vector modulo the cyclotomic polynomial Phi_2N,
+with equality, hashing and a few predicates, but no arithmetic of its
+own.  All coefficients are Python ints, so nothing overflows, and the
+module needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import mpmath
 
 # Cyclotomic orders kept memoized; a run uses the order 2N and its divisors.
 CACHE_SIZE = 64
@@ -119,7 +118,8 @@ def _canonical(order: int, vec: list[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CycNum:
-    """A cyclotomic integer in Z[zeta], zeta = exp(i pi / N), order = 2N.
+    """A cyclotomic integer in Z[zeta], zeta = exp(i pi / N), order = 2N,
+    kept as a comparison key: the library sums and multiplies on vectors.
 
     coeffs always holds the canonical (Phi_2N-reduced) form, padded with
     zeros to length `order`, so equality and hashing are structural.
@@ -138,90 +138,6 @@ class CycNum:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", _canonical(order, vec))
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(order: int) -> CycNum:
-        return CycNum(order, ())
-
-    @staticmethod
-    def integer(value: int, order: int) -> CycNum:
-        return CycNum(order, (value,))
-
-    @staticmethod
-    def zeta_pow(e: int, order: int) -> CycNum:
-        """zeta^e (e may be negative; exponent taken mod order)."""
-        vec = [0] * order
-        vec[e % order] = 1
-        return CycNum(order, vec)
-
-    @staticmethod
-    def omega_pow(e: int, order: int) -> CycNum:
-        """omega^e = zeta^(2e)."""
-        return CycNum.zeta_pow(2 * e, order)
-
-    # -- ring operations ---------------------------------------------------
-
-    def _check(self, other: CycNum) -> None:
-        if self.order != other.order:
-            raise ValueError("mixed cyclotomic orders %d and %d" % (self.order, other.order))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = CycNum.integer(other, self.order)
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        self._check(other)
-        return CycNum(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = CycNum.integer(other, self.order)
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        self._check(other)
-        return CycNum(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self) -> CycNum:
-        return CycNum(self.order, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycNum(self.order, tuple(a * other for a in self.coeffs))
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        self._check(other)
-        n = self.order
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        k = i + j
-                        out[k - n if k >= n else k] += a * b
-        return CycNum(n, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> CycNum:
-        if e < 0:
-            raise ValueError("negative powers are not defined in the integer ring")
-        result = CycNum.integer(1, self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    # -- predicates / conversions ------------------------------------------
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -234,26 +150,6 @@ class CycNum:
         if not self.is_rational_int():
             raise ValueError("CycNum %r is not a rational integer" % (self.coeffs,))
         return self.coeffs[0]
-
-    def conjugate(self) -> CycNum:
-        """Complex conjugation, zeta -> zeta^(-1)."""
-        n = self.order
-        vec = [0] * n
-        for k, c in enumerate(self.coeffs):
-            if c:
-                vec[(-k) % n] += c
-        return CycNum(n, vec)
-
-    def embed(self, precision: int = 53) -> mpmath.mpc:
-        """Numeric value with zeta = exp(i pi / N), N = order / 2,
-        at `precision` bits."""
-        with mpmath.workprec(precision + 10):
-            n = self.order
-            total = mpmath.mpc(0)
-            for k, c in enumerate(self.coeffs):
-                if c:
-                    total += c * mpmath.expjpi(mpmath.mpf(2 * k) / n)
-            return +total
 
     def __repr__(self) -> str:
         if self.is_rational_int():
@@ -369,7 +265,15 @@ def binomial_vector(a: int, b: int, N: int) -> tuple[int, ...]:
     """[a choose b] at omega = exp(2 pi i / N) as a vector over omega, zero
     outside 0 <= b <= a.  Rows a >= N follow from the q-Lucas theorem at a
     primitive N-th root of unity (Desarmenien 1982): [a choose b] =
-    C(a div N, b div N) [a mod N choose b mod N], zero if b mod N > a mod N."""
+    C(a div N, b div N) [a mod N choose b mod N], zero if b mod N > a mod N.
+
+    >>> binomial_vector(5, 0, 3)
+    (1, 0, 0)
+    >>> binomial_vector(4, 2, 2)
+    (2, 0)
+    >>> binomial_vector(6, 3, 3)  # C(2, 1) [0 choose 0]
+    (2, 0, 0)
+    """
     if N < 2:
         raise ValueError("need N >= 2")
     if a < 0:
@@ -380,16 +284,3 @@ def binomial_vector(a: int, b: int, N: int) -> tuple[int, ...]:
     scale = math.comb(a_high, b_high)
     return tuple(scale * c for c in binomial_rows(N)[a_low][b_low])
 
-
-def gauss_binom(a: int, b: int, N: int) -> CycNum:
-    """The Gaussian binomial [a choose b] at omega = exp(2 pi i / N) in
-    Z[zeta], the canonical form of `binomial_vector`; 0 outside 0 <= b <= a.
-
-    >>> gauss_binom(5, 0, 3).as_int()
-    1
-    >>> gauss_binom(4, 2, 2).as_int()
-    2
-    >>> gauss_binom(6, 3, 3).as_int()  # C(2, 1) [0 choose 0]
-    2
-    """
-    return in_zeta(binomial_vector(a, b, N))

@@ -266,6 +266,71 @@ def test_typed_error_exits_four_without_traceback(runner, argv):
     assert result.stderr.startswith(("DomainError: ", "CurveMismatchError: "))
 
 
+@pytest.mark.parametrize("argv, double", [
+    ("oracle --N 2 --L 3 --kp 1e-400", "0.0"),
+    ("oracle --N 2 --L 3 --kp 1e-330", "0.0"),
+    ("oracle --N 2 --L 3 --kp 0.99999999999999999999", "1.0"),
+    ("correlate --N 2 --L 3 --kp 1e-400 --r 1", "0.0"),
+    ("correlate --N 2 --L 3 --kp 0.99999999999999999999 --r 1", "1.0"),
+])
+def test_lattice_modulus_rounding_out_of_range_exits_two(runner, argv, double):
+    # inside (0, 1) exactly, but the float lattice would get 0.0 or 1.0
+    result = runner.invoke(cli.main, argv.split())
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1, result.stderr
+    assert f"rounds to {double}, outside (0, 1)" in errors[0]
+
+
+@pytest.mark.parametrize("argv", [
+    "oracle --N 2 --L 3 --kp 1/3",
+    "correlate --N 2 --L 3 --kp 1/3 --r 1",
+    "order --N 2 --L 3 --r 1 --kp 0.99999999999999999999",
+])
+def test_modulus_range_check_is_exact(runner, argv):
+    # the lattice reads 1/3 as its nearest double, as order does at --prec;
+    # 1 - 1e-20 lies inside (0, 1) although no double below 1 is that close
+    result = runner.invoke(cli.main, argv.split())
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert _json_of(result)["config"]["kp"] == argv.split("--kp ")[1].split()[0]
+
+
+def test_huge_modulus_exponent_is_read_without_expanding_it(runner):
+    # as a Fraction, 1e-999999999 would expand a billion-digit power of ten
+    result = runner.invoke(cli.main, [
+        "order", "--N", "2", "--L", "3", "--r", "1", "--kp", "1e-999999999",
+    ])
+    assert result.exit_code == 4, (result.output, result.exception)
+    assert result.stderr.startswith("DomainError: ")
+    result = runner.invoke(cli.main, [
+        "oracle", "--N", "2", "--L", "3", "--kp", "1e999999999",
+    ])
+    assert result.exit_code == 2
+    assert "must lie strictly inside (0, 1)" in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    "order --N 2 --L 3 --r 1 --kp 0.5_0",
+    "order --N 2 --L 3 --r 1 --kp 0.4_5",
+    "oracle --N 2 --L 3 --kp 0.4_5",
+])
+def test_modulus_takes_the_syntax_of_the_computations(runner, argv):
+    # Decimal reads 0.5_0 and 0.4_5 as 0.5 and 0.45; mpmath refuses the
+    # first and reads the second as 0.045, so the --prec routes would
+    # compute at another modulus than the lattice and the report's string
+    result = runner.invoke(cli.main, argv.split())
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "must be a decimal number" in result.stderr
+
+
+def test_modulus_underscores_outside_the_fraction_pass(runner):
+    result = runner.invoke(cli.main, [
+        "order", "--N", "2", "--L", "3", "--r", "1", "--kp", "1_000e-4",
+    ])
+    assert result.exit_code == 0, (result.output, result.exception)
+
+
 def test_verification_failure_exits_four(runner, monkeypatch):
     monkeypatch.setattr(cli, "ORACLE_TOL", 0.0)
     result = runner.invoke(cli.main, [
@@ -321,9 +386,10 @@ def _argv(draw):
     if command in ("order", "sweep", "correlate"):
         options.append(("--r", draw(st.integers(1, n - 1))))
     if command not in ("identity", "appendix"):
-        # the last two lie inside (0, 1) but far enough out to trip typed errors
+        # 1e-80, 0.999999 and 1e-400 lie inside (0, 1) but far enough out to
+        # trip typed errors, or to round to 0.0 on the float lattice
         options.append(("--kp", draw(st.sampled_from(
-            ["0.2", "0.5", "0.8", "1e-80", "0.999999"]
+            ["0.2", "0.5", "0.8", "1e-80", "0.999999", "1e-400", "1/3"]
         ))))
     if command in ("drinfeld", "formfactor", "order", "sweep", "oracle"):
         options.append(("--prec", draw(st.sampled_from([128, 192]))))

@@ -3,7 +3,7 @@
 The coefficient oracle here enumerates the defining sum directly with
 itertools.product, independent of the per-site polynomial product of
 `cycpoly.gen_poly`; that product and the closed form of `cycpoly`, both
-over canonical CycNum coefficients, are the oracles of the vector
+over the oracle ring `cycpoly.Cyc`, are the oracles of the vector
 generating functions in `combi`.  The exchange-kernel oracles are two
 recursions over the n_i, one with prefix sums and one with suffix sums,
 independent of the site transfer in `combi`; the correction oracle sums
@@ -31,7 +31,8 @@ from chiralpotts.combi import (
     level_counts,
     uqp_check,
 )
-from chiralpotts.cyclo import CycNum, cyclotomic_poly, gauss_binom, in_zeta, trimmed
+from chiralpotts.cyclo import CycNum, cyclotomic_poly, in_zeta, trimmed
+from cycpoly import Cyc, gauss_binom
 from chiralpotts.errors import CountingInvariantError, SizeGuardError
 
 
@@ -59,18 +60,18 @@ def k_coeffs_enum(config: EdgeConfig, max_degree: int):
     """Direct enumeration of the defining sums for K and Kbar."""
     N, L = config.N, config.L
     order = 2 * N
-    K = [CycNum.zero(order) for _ in range(max_degree + 1)]
-    Kbar = [CycNum.zero(order) for _ in range(max_degree + 1)]
+    K = [Cyc.zero(order) for _ in range(max_degree + 1)]
+    Kbar = [Cyc.zero(order) for _ in range(max_degree + 1)]
     for nprime in itertools.product(*(range(N - nj) for nj in config.n)):
         degree = sum(nprime)
         if degree > max_degree:
             continue
-        w = CycNum.integer(1, order)
-        wbar = CycNum.integer(1, order)
+        w = Cyc.integer(1, order)
+        wbar = Cyc.integer(1, order)
         for j in range(L):
             binom = gauss_binom(config.n[j] + nprime[j], nprime[j], N)
-            w = w * binom * CycNum.omega_pow(nprime[j] * config.left_sums[j], order)
-            wbar = wbar * binom * CycNum.omega_pow(
+            w = w * binom * Cyc.omega_pow(nprime[j] * config.left_sums[j], order)
+            wbar = wbar * binom * Cyc.omega_pow(
                 nprime[j] * config.right_sums[j], order
             )
         K[degree] = K[degree] + w
@@ -80,7 +81,7 @@ def k_coeffs_enum(config: EdgeConfig, max_degree: int):
 
 def k_coeffs(
     config: EdgeConfig, max_degree: int | None = None
-) -> tuple[list[CycNum], list[CycNum]]:
+) -> tuple[list[Cyc], list[Cyc]]:
     """Coefficient lists (K, Kbar) of the weight generating function and
     its dual, up to max_degree inclusive (default: the full degree)."""
     top = config.max_degree
@@ -101,7 +102,7 @@ def calG_table_enum(N: int, L: int) -> tuple[tuple[int, ...], ...]:
     total N and multiplying its coefficient lists."""
     dim = (N - 1) * L - N + 1
     order = 2 * N
-    acc = [[CycNum.zero(order) for _ in range(dim)] for _ in range(dim)]
+    acc = [[Cyc.zero(order) for _ in range(dim)] for _ in range(dim)]
     for n in compositions(N, L, N - 1):
         config = EdgeConfig(N, L, n)
         K, Kbar = k_coeffs(config)
@@ -136,7 +137,7 @@ def _exchange_sums(mu: tuple[int, ...], lam: tuple[int, ...]) -> tuple[list[int]
     return mu_prefix, lam_suffix
 
 
-def exchange_sum(n: int, mu: tuple[int, ...], lam: tuple[int, ...], N: int) -> CycNum:
+def exchange_sum(n: int, mu: tuple[int, ...], lam: tuple[int, ...], N: int) -> Cyc:
     """sum over {n_i >= 0, sum n_i = n} of
     prod_i [mu_i choose n_i] [n_i + lam_i choose n_i]
     omega^(n_i (mu_prefix_i - n_prefix_i + lam_suffix_i))."""
@@ -148,9 +149,9 @@ def exchange_sum(n: int, mu: tuple[int, ...], lam: tuple[int, ...], N: int) -> C
     for i in range(L - 1, -1, -1):
         tail_cap[i] = tail_cap[i + 1] + site_cap[i]
 
-    total = CycNum.zero(order)
+    total = Cyc.zero(order)
 
-    def recurse(i: int, remaining: int, n_prefix: int, partial: CycNum) -> None:
+    def recurse(i: int, remaining: int, n_prefix: int, partial: Cyc) -> None:
         nonlocal total
         if i == L:
             if remaining == 0:
@@ -162,16 +163,16 @@ def exchange_sum(n: int, mu: tuple[int, ...], lam: tuple[int, ...], N: int) -> C
             if w.is_zero():
                 continue
             if ni:
-                w = w * CycNum.omega_pow(
+                w = w * Cyc.omega_pow(
                     ni * (mu_prefix[i] - n_prefix + lam_suffix[i]), order
                 )
             recurse(i + 1, remaining - ni, n_prefix + ni, partial * w)
 
-    recurse(0, n, 0, CycNum.integer(1, order))
+    recurse(0, n, 0, Cyc.integer(1, order))
     return total
 
 
-def exchange_sum_dual(n: int, lam: tuple[int, ...], mu: tuple[int, ...], N: int) -> CycNum:
+def exchange_sum_dual(n: int, lam: tuple[int, ...], mu: tuple[int, ...], N: int) -> Cyc:
     """The dual kernel: sum over {n_i, sum = n} of
     prod_i [lam_i choose n_i] [n_i + mu_i choose n_i]
     omega^(n_i (lam_suffix_i - n_suffix_i + mu_prefix_i))."""
@@ -179,9 +180,9 @@ def exchange_sum_dual(n: int, lam: tuple[int, ...], mu: tuple[int, ...], N: int)
     L = len(mu)
     order = 2 * N
 
-    total = CycNum.zero(order)
+    total = Cyc.zero(order)
 
-    def recurse(i: int, remaining: int, partial: CycNum, n_so_far: list[int]) -> None:
+    def recurse(i: int, remaining: int, partial: Cyc, n_so_far: list[int]) -> None:
         nonlocal total
         if i == L:
             if remaining == 0:
@@ -191,7 +192,7 @@ def exchange_sum_dual(n: int, lam: tuple[int, ...], mu: tuple[int, ...], N: int)
                 for k in range(L - 1, -1, -1):
                     phase += n_so_far[k] * (lam_suffix[k] - nsuf + mu_prefix[k])
                     nsuf += n_so_far[k]
-                total = total + partial * CycNum.omega_pow(phase, order)
+                total = total + partial * Cyc.omega_pow(phase, order)
             return
         cap = min(lam[i], remaining, N - 1 - mu[i])
         for ni in range(cap + 1):
@@ -200,7 +201,7 @@ def exchange_sum_dual(n: int, lam: tuple[int, ...], mu: tuple[int, ...], N: int)
             recurse(i + 1, remaining - ni, partial * w, n_so_far)
             n_so_far.pop()
 
-    recurse(0, n, CycNum.integer(1, order), [])
+    recurse(0, n, Cyc.integer(1, order), [])
     return total
 
 
@@ -209,7 +210,7 @@ def correction_from_exchange_enum(N, L, Q, P, ell, j):
     P-N < k <= Q, with the exchange sum evaluated on every configuration
     pair separately."""
     order = 2 * N
-    total = CycNum.zero(order)
+    total = Cyc.zero(order)
     for k in range(P - N + 1, Q + 1):
         mu_total = (ell + 1) * N + Q + P - k
         lam_total = j * N + k
@@ -219,15 +220,15 @@ def correction_from_exchange_enum(N, L, Q, P, ell, j):
             continue
         mus = _configs_with_total(N, L, mu_total)
         lams = _configs_with_total(N, L, lam_total)
-        inner = CycNum.zero(order)
+        inner = Cyc.zero(order)
         if P - k == 0:
             # the order-0 exchange sum is 1 for every configuration pair
-            inner = CycNum.integer(len(mus) * len(lams), order)
+            inner = Cyc.integer(len(mus) * len(lams), order)
         else:
             for mu in mus:
                 for lam in lams:
                     inner = inner + exchange_sum(P - k, mu, lam, N)
-        prefactor = gauss_binom(N - P + Q, Q - k, N) * CycNum.omega_pow(
+        prefactor = gauss_binom(N - P + Q, Q - k, N) * Cyc.omega_pow(
             k * k - k * P, order
         )
         total = total + prefactor * inner
@@ -405,7 +406,7 @@ def test_table_against_exchange_kernel():
         order = 2 * N
         for a in range(table.dim):
             for b in range(table.dim):
-                acc = CycNum.zero(order)
+                acc = Cyc.zero(order)
                 for mu in compositions(a + N, L, N - 1):
                     for lam in compositions(b, L, N - 1):
                         acc = acc + exchange_sum(N, mu, lam, N)
@@ -495,7 +496,7 @@ def test_correction_closed_values_are_pinned():
             (ell, Q), (j, P) = divmod(row, N), divmod(col, N)
             assert combi._correction_from_counts(lam, Q, P, ell, j) == value
             kernel = combi._correction_from_exchange(N, L, Q, P, ell, j)
-            assert kernel == CycNum.integer(value, 2 * N), (N, L, row, col, kernel)
+            assert kernel == Cyc.integer(value, 2 * N), (N, L, row, col, kernel)
             if (N, L) == (4, 4):
                 assert correction_from_exchange_enum(N, L, Q, P, ell, j) == kernel
         assert uqp_check(N, L)["ok"], (N, L)
@@ -544,7 +545,7 @@ def test_exchange_sums_match_both_recursions(N):
     # every order, direct and dual orientation: the dual kernel of
     # (lam, mu) is the direct kernel of the reversed pair
     rng = random.Random(N)
-    zero = CycNum.zero(2 * N)
+    zero = Cyc.zero(2 * N)
     for L in range(1, 6):
         for _ in range(20):
             mu = tuple(rng.randrange(N) for _ in range(L))

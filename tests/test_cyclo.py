@@ -7,7 +7,11 @@ b x (a-b) box by a first-part DP, then specializes q -> omega.
 
 import doctest
 import functools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -18,12 +22,11 @@ from chiralpotts import cyclo
 from chiralpotts.cyclo import (
     CycNum,
     cyclotomic_poly,
-    gauss_binom,
     times_binomial,
     times_geometric,
 )
 
-from cycpoly import CycPoly, pochhammer
+from cycpoly import Cyc, CycPoly, gauss_binom, pochhammer
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +53,7 @@ def _box_poly(rows: int, cols: int) -> tuple[int, ...]:
 def box_gauss_binom(a: int, b: int, N: int) -> CycNum:
     """[a choose b]_omega via box partitions: sum_s p(s) omega^s."""
     if b < 0 or b > a:
-        return CycNum.zero(2 * N)
+        return Cyc.zero(2 * N)
     vec = [0] * (2 * N)
     for s, c in enumerate(_box_poly(b, a - b)):
         vec[(2 * s) % (2 * N)] += c
@@ -93,7 +96,7 @@ def test_zeta_is_primitive_root():
     # zeta^(2N) = 1 and zeta^N = -1 in every order we use
     for N in range(2, 7):
         order = 2 * N
-        z = CycNum.zeta_pow(1, order)
+        z = Cyc.zeta_pow(1, order)
         assert (z ** order).as_int() == 1
         assert (z ** N).as_int() == -1
 
@@ -101,9 +104,9 @@ def test_zeta_is_primitive_root():
 def test_omega_sum_vanishes():
     # 1 + omega + ... + omega^(N-1) = 0
     for N in range(2, 8):
-        total = CycNum.zero(2 * N)
+        total = Cyc.zero(2 * N)
         for n in range(N):
-            total = total + CycNum.omega_pow(n, 2 * N)
+            total = total + Cyc.omega_pow(n, 2 * N)
         assert total.is_zero()
 
 
@@ -114,35 +117,75 @@ def test_canonical_idempotent():
     assert hash(x) == hash(again)
 
 
+def test_oracle_values_compare_with_library_values():
+    # a Cyc and a CycNum of equal value are equal either way round and hash
+    # alike, so a set or dict mixes them; unequal values, including those of
+    # another order, differ either way round, so no != assertion holds vacuously
+    for N in range(2, 6):
+        order = 2 * N
+        omega = Cyc.omega_pow(1, order)
+        oracle = (1 + omega) ** 2
+        library = CycNum(order, [1, 0, 2, 0, 1])
+        assert oracle == library and library == oracle
+        assert not oracle != library and not library != oracle
+        assert hash(oracle) == hash(library)
+        assert len({oracle, library}) == 1
+        other = CycNum(order, [1, 0, 2, 0, 2])
+        assert oracle != other and other != oracle
+        assert not oracle == other and not other == oracle
+        assert Cyc.integer(1, order) != CycNum(order + 2, [1])
+        assert CycNum(order + 2, [1]) != Cyc.integer(1, order)
+
+
+EXACT_LAYER_IMPORT = """
+import sys
+import chiralpotts.cyclo, chiralpotts.combi
+print(sorted(name for name in ("mpmath", "numpy", "scipy") if name in sys.modules))
+"""
+
+
+def test_exact_layer_imports_only_the_standard_library():
+    # cyclo and combi compute and compare on integer vectors alone
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", EXACT_LAYER_IMPORT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # embedding
 
 
-def embed_complex(x: CycNum, precision: int = 53) -> mpmath.mpc:
-    """Evaluate a CycNum at zeta = exp(i pi / N) in binary precision bits."""
+def embed_complex(x: Cyc, precision: int = 53) -> mpmath.mpc:
+    """Evaluate a Cyc at zeta = exp(i pi / N) in binary precision bits."""
     if precision < 53:
         raise ValueError("precision below 53 bits is not supported")
     return x.embed(precision)
 
 
 def test_embed_examples():
-    one_plus_omega = CycNum.integer(1, 6) + CycNum.omega_pow(1, 6)
+    one_plus_omega = Cyc.integer(1, 6) + Cyc.omega_pow(1, 6)
     val = embed_complex(one_plus_omega)
     assert abs(val - mpmath.mpc(0.5, 0.8660254037844386)) < 1e-12
 
-    seven = CycNum.integer(7, 8)
+    seven = Cyc.integer(7, 8)
     assert abs(embed_complex(seven) - 7) < 1e-15
 
     for N in (2, 3, 4, 5):
-        total = CycNum.zero(2 * N)
+        total = Cyc.zero(2 * N)
         for n in range(N):
-            total = total + CycNum.omega_pow(n, 2 * N)
+            total = total + Cyc.omega_pow(n, 2 * N)
         assert abs(embed_complex(total)) < 1e-15
 
 
 def test_embed_rejects_low_precision():
     with pytest.raises(ValueError):
-        embed_complex(CycNum.integer(1, 4), precision=10)
+        embed_complex(Cyc.integer(1, 4), precision=10)
 
 
 @settings(max_examples=60)
@@ -153,8 +196,8 @@ def test_embed_rejects_low_precision():
 )
 def test_embed_is_ring_hom(N, avec, bvec):
     order = 2 * N
-    x = CycNum(order, avec)
-    y = CycNum(order, bvec)
+    x = Cyc(order, avec)
+    y = Cyc(order, bvec)
     ex, ey = x.embed(80), y.embed(80)
     assert abs((x * y).embed(80) - ex * ey) < 1e-12
     assert abs((x + y).embed(80) - (ex + ey)) < 1e-12
@@ -166,7 +209,7 @@ def test_embed_is_ring_hom(N, avec, bvec):
     st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=12),
 )
 def test_conjugate_matches_embedding(N, avec):
-    x = CycNum(2 * N, avec)
+    x = Cyc(2 * N, avec)
     assert abs(x.conjugate().embed(80) - mpmath.conj(x.embed(80))) < 1e-12
 
 
@@ -176,7 +219,7 @@ def test_conjugate_matches_embedding(N, avec):
 
 def test_gauss_binom_spec_examples():
     assert gauss_binom(5, 0, 3).as_int() == 1
-    expect = CycNum.integer(1, 6) + CycNum.omega_pow(1, 6)
+    expect = Cyc.integer(1, 6) + Cyc.omega_pow(1, 6)
     assert gauss_binom(2, 1, 3) == expect
     assert gauss_binom(4, 2, 2).as_int() == 2
 
@@ -225,7 +268,7 @@ def test_module_examples_run():
 )
 def test_gauss_binom_pascal(N, a, b):
     lhs = gauss_binom(a, b, N)
-    rhs = gauss_binom(a - 1, b - 1, N) + CycNum.omega_pow(b, 2 * N) * gauss_binom(
+    rhs = gauss_binom(a - 1, b - 1, N) + Cyc.omega_pow(b, 2 * N) * gauss_binom(
         a - 1, b, N
     )
     assert lhs == rhs
@@ -254,8 +297,8 @@ def test_gauss_binom_vanishes_past_period(N, n, nn):
 
 def test_poly_mul_and_truncate():
     order = 6
-    one = CycNum.integer(1, order)
-    om = CycNum.omega_pow(1, order)
+    one = Cyc.integer(1, order)
+    om = Cyc.omega_pow(1, order)
     p = CycPoly(order, (one, om))          # 1 + om t
     q = CycPoly(order, (one, -om, one))    # 1 - om t + t^2
     full = p.mul(q)
@@ -270,10 +313,10 @@ def test_poly_mul_and_truncate():
 
 def test_poly_evaluate_hom():
     order = 8
-    om = CycNum.omega_pow(1, order)
-    p = CycPoly(order, (CycNum.integer(3, order), om, om * om))
-    q = CycPoly(order, (om, CycNum.integer(-1, order)))
-    x = CycNum.zeta_pow(3, order)
+    om = Cyc.omega_pow(1, order)
+    p = CycPoly(order, (Cyc.integer(3, order), om, om * om))
+    q = CycPoly(order, (om, Cyc.integer(-1, order)))
+    x = Cyc.zeta_pow(3, order)
     assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
     assert (p + q).evaluate(x) == p.evaluate(x) + q.evaluate(x)
 
@@ -315,18 +358,18 @@ def test_pochhammer_rejects_bad_shift():
 
 def test_vector_factors_match_the_polynomial_oracle():
     # a product of (1 + s zeta^e t^m) factors and a truncated 1/(1 - zeta^e t)
-    # on unreduced vectors, against the same products over CycNum
+    # on unreduced vectors, against the same products over Cyc
     order, size = 6, 9
     vectors = [[1] + [0] * (order - 1)] + [[0] * order for _ in range(size - 1)]
     oracle = CycPoly.one(order)
-    one = CycNum.integer(1, order)
+    one = Cyc.integer(1, order)
     for step, e, sign in [(1, 1, -1), (3, 0, 1), (2, 5, -1), (1, 4, 1)]:
         times_binomial(vectors, step, e, sign)
-        factor = [one] + [CycNum.zero(order)] * (step - 1) + [sign * CycNum.zeta_pow(e, order)]
+        factor = [one] + [Cyc.zero(order)] * (step - 1) + [sign * Cyc.zeta_pow(e, order)]
         oracle = oracle * CycPoly(order, factor)
     assert CycPoly(order, [CycNum(order, v) for v in vectors]) == oracle
     times_geometric(vectors, 2)
-    series = CycPoly(order, [CycNum.zeta_pow(2 * k, order) for k in range(size)])
+    series = CycPoly(order, [Cyc.zeta_pow(2 * k, order) for k in range(size)])
     assert CycPoly(order, [CycNum(order, v) for v in vectors]) == oracle.mul(
         series, max_degree=size - 1
     )

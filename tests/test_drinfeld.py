@@ -77,7 +77,7 @@ def test_projection_two_state_hand_value():
 
 
 def test_projection_matches_polynomial_oracle():
-    # the vector expansion against the same sum of products over CycNum
+    # the vector expansion against the same sum of products over Cyc
     for N in (2, 3, 4):
         for L in range(1, 5):
             for Q in range(N):
