@@ -15,15 +15,16 @@ fixed random start has to land on g).  This route is capped by memory,
 not by the dense dimension cap.
 
 The correlation route needs the whole spectrum.  The dense layers of
-the two row transfer matrices come from the same site-local ring
+the row transfer matrix T come from the same site-local ring
 contraction as the certificate, applied to one unit vector per edge
-class; they are Fourier-transformed over the leading spin into charge
-blocks.  Both blocks commute with the row translation, so each is
-projected onto an exact momentum basis and the product is diagonalized
-densely, one row momentum at a time, with separate left and right
-eigenvector systems: L blocks of about N^(L-1)/L states instead of one
-of N^(L-1).  The finite-separation pair correlation is a sum over that
-biorthogonal spectrum.
+class, and are Fourier-transformed over the leading spin into charge
+blocks T_Q.  The second factor is That_Q = S_Q T_Q, S_Q the row
+translation, so on row momentum m of an exact momentum basis the
+product is exp(2 pi i m / L) times the square of the projected T_Q: it
+is diagonalized densely one momentum at a time, with separate left and
+right eigenvector systems (L blocks of about N^(L-1)/L states instead
+of one of N^(L-1)), and each spectrum is kept in those blocks.  The
+finite-separation pair correlation is a sum over them.
 
 All arithmetic is float64/complex128; the observables compared against
 the high-precision route carry comfortably more headroom than the 1e-8
@@ -87,7 +88,7 @@ class RapidityPoint:
 
     @property
     def k(self) -> float:
-        return float(np.sqrt(1.0 - self.kp * self.kp))
+        return _complement(self.kp)
 
     def curve_residual(self) -> float:
         """Largest absolute residual of the three curve relations."""
@@ -109,11 +110,15 @@ def _check_modulus(kp: float) -> float:
     return kp
 
 
+def _complement(kp: float) -> float:
+    """k = sqrt(1 - k'^2), factored to keep its precision as k' -> 1."""
+    return float(np.sqrt((1.0 - kp) * (1.0 + kp)))
+
+
 def superintegrable_point(N: int, kp: float) -> RapidityPoint:
     """Vertical rapidity with mu = 1 and x = y on the positive real branch."""
     kp = _check_modulus(kp)
-    k = np.sqrt(1.0 - kp * kp)
-    xp = ((1.0 - kp) / k) ** (1.0 / N)
+    xp = ((1.0 - kp) / _complement(kp)) ** (1.0 / N)
     point = RapidityPoint(N=N, kp=kp, x=complex(xp), y=complex(xp), mu=1.0 + 0.0j)
     residual = point.curve_residual()
     if residual > 1e-15:
@@ -133,21 +138,16 @@ def horizontal_point(N: int, kp: float, t: float) -> RapidityPoint:
     chain ground state; below it the shared eigenbasis survives but the
     modulus ordering changes, so observables default to the physical side
     via `physical_point`.
+    With g = 1 - t, 1 - k^2 t = g + t k'^2 keeps y^N and mu^N free of
+    cancellation as t -> 1.
     """
     kp = _check_modulus(kp)
     if not 0.0 < t < 1.0:
         raise ValueError(f"branch parameter t must lie in (0, 1), got {t}")
-    k = np.sqrt(1.0 - kp * kp)
-    xn = t * k
-    mun = kp / (1.0 - k * xn)
-    yn = (k - xn) / (1.0 - k * xn)
-    point = RapidityPoint(
-        N=N,
-        kp=kp,
-        x=complex(xn ** (1.0 / N)),
-        y=complex(yn ** (1.0 / N)),
-        mu=complex(mun ** (1.0 / N)),
-    )
+    k, g = _complement(kp), 1.0 - t
+    xn, yn, mun = t * k, k * g / (g + t * kp * kp), kp / (g + t * kp * kp)
+    x, y, mu = (complex(z ** (1.0 / N)) for z in (xn, yn, mun))
+    point = RapidityPoint(N=N, kp=kp, x=x, y=y, mu=mu)
     residual = point.curve_residual()
     if residual > 1e-14:
         raise CurveMismatchError(
@@ -321,6 +321,16 @@ def _edge_classes(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     return edge_index(N, edges), spins[:, 0]
 
 
+def _translation(N: int, L: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The charge-Q row translation S_Q as a gather: (S_Q v)[e] =
+    phase[e] v[rows[e]], with rows[e] the flat index of roll(e) =
+    (e_2, ..., e_L, e_1), the edges of the spin row translated by one
+    site, and phase[e] = omega^(Q e_1)."""
+    configs = edge_configs(N, L)
+    rows = np.asarray(edge_index(N, np.roll(configs, -1, axis=1)))
+    return rows, np.exp(2j * np.pi / N) ** ((Q * configs[:, 0]) % N)
+
+
 # ---------------------------------------------------------------------------
 # transfer matrices
 
@@ -365,24 +375,23 @@ def _site_kernel(q: RapidityPoint) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _transfer_layers(q: RapidityPoint, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shift-resolved layers T(m) and That(m) of both transfer matrices.
+def _transfer_blocks(q: RapidityPoint, L: int) -> np.ndarray:
+    """Charge blocks T_Q of the row transfer matrix, stacked over Q.
 
-    Entry [m, i, j] of the first array is the spin-basis element of T
-    from a ket row of edge class j and leading spin m to a bra row of edge
-    class i and leading spin 0; the second array is the same for That.
-    Charge blocks are Fourier combinations over m, so the layers of the
-    latest rapidity and width are kept and shared by its sectors.  The
-    ring of `_ring_apply` maps the unit vector of the sigma_1 = 0 row of
-    class j to column j of T; by shift invariance its row of class i and
-    leading spin -m is entry [m, i, j], and That reads the same image
-    after the one-site output translation of `sector_product_operator`.
-    Columns go N^(L-4) at a time, and at least N, so the ring's work
-    tensor (N^(L+1) numbers per column) stays within one layer from L = 4
-    on.  For spin dimensions up to SPIN_CHECK_DIM_CAP the identity
-    (T That)_Q = T_Q That_Q is verified in every sector against one
-    spin-basis product (CurveMismatchError otherwise); larger builds rely
-    on the same check having passed at small sizes.
+    Block Q is the sum over m with phase omega^(-mQ) of the layers T(m),
+    whose entry [i, j] is the spin-basis element of T from a ket row of
+    edge class j and leading spin m to a bra row of edge class i and
+    leading spin 0.  The ring of `_ring_apply` maps the unit vector of
+    the sigma_1 = 0 row of class j to column j of T; by shift invariance
+    its row of class i and leading spin -m is entry [m, i, j].  Columns
+    go N^(L-4) at a time, and at least N, so the ring's work tensor
+    (N^(L+1) numbers per column) stays within one layer from L = 4 on;
+    each batch is Fourier-transformed over m in place.  The read-only
+    blocks of the latest rapidity and width are kept and shared by its
+    sectors.  For spin dimensions up to SPIN_CHECK_DIM_CAP the identity
+    (T That)_Q = T_Q S_Q T_Q (`build_sector_transfer`) is verified in
+    every sector against one spin-basis product (CurveMismatchError
+    otherwise); larger builds rely on the same check at small sizes.
     """
     N = q.N
     dim = edge_dim(N, L)
@@ -392,38 +401,30 @@ def _transfer_layers(q: RapidityPoint, L: int) -> tuple[np.ndarray, np.ndarray]:
     kets = zero[np.argsort(flat[zero])]
     # row of each image entry in the layers stacked as (N dim, dim)
     dest = (-lead % N) * dim + flat
-    layers = np.empty((N, dim, dim), dtype=complex)
-    layers_hat = np.empty((N, dim, dim), dtype=complex)
+    dft = np.exp(2j * np.pi / N) ** (-np.outer(np.arange(N), np.arange(N)) % N)
+    blocks = np.empty((N, dim, dim), dtype=complex)
     batch = N ** max(L - 4, 1)
     for start in range(0, dim, batch):
         cols = slice(start, start + batch)
         units = np.zeros((N**L, len(kets[cols])), dtype=complex)
         units[kets[cols], np.arange(units.shape[1])] = 1.0
-        image = _ring_apply(kernel, units, N, L)
-        layers.reshape(N * dim, dim)[dest, cols] = image
-        translated = image.reshape(N, dim, -1).swapaxes(0, 1).reshape(image.shape)
-        layers_hat.reshape(N * dim, dim)[dest, cols] = translated
+        blocks.reshape(N * dim, dim)[dest, cols] = _ring_apply(kernel, units, N, L)
+        blocks[:, :, cols] = np.tensordot(dft, blocks[:, :, cols], axes=1)
     if N**L <= SPIN_CHECK_DIM_CAP:
         t_spin, t_hat_spin = spin_transfer(q, L)
         product = t_spin @ t_hat_spin
         for Q in range(N):
             target = _sector_of_spin_product(product, N, L, Q)
-            got = _fourier(layers, Q) @ _fourier(layers_hat, Q)
+            rows, phase = _translation(N, L, Q)
+            got = blocks[Q] @ (phase[:, None] * blocks[Q][rows])
             residual = np.max(np.abs(got - target)) / max(1.0, np.max(np.abs(target)))
             if residual > 1e-12:
                 raise CurveMismatchError(
                     f"sector product check failed: residual {residual:.3e} "
                     f"at N={N}, L={L}, Q={Q}"
                 )
-    return layers, layers_hat
-
-
-def _fourier(layers: np.ndarray, Q: int) -> np.ndarray:
-    """Charge-Q block of a row operator: the Fourier sum of its layers
-    with phase omega^(-mQ)."""
-    N = len(layers)
-    phases = np.exp(2j * np.pi / N) ** (-(np.arange(N) * Q) % N)
-    return np.tensordot(phases, layers, axes=(0, 0))
+    blocks.flags.writeable = False
+    return blocks
 
 
 def spin_transfer(q: RapidityPoint, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -452,21 +453,16 @@ def spin_transfer(q: RapidityPoint, L: int) -> tuple[np.ndarray, np.ndarray]:
     return t, t_hat
 
 
-def _sector_of_spin_product(
-    product: np.ndarray, N: int, L: int, Q: int
-) -> np.ndarray:
+def _sector_of_spin_product(product: np.ndarray, N: int, L: int, Q: int) -> np.ndarray:
     """Extract charge block Q from a spin-basis row-operator product."""
     flat, lead = _edge_classes(N, L)
     dim = N ** (L - 1)
-    omega = np.exp(2j * np.pi / N)
-    block = np.zeros((dim, dim), dtype=complex)
     # Spin rows with sigma'_1 = 0 represent each bra edge class exactly once;
     # down the columns the shift is then m = sigma_1 directly.
-    phases = omega ** (-(lead * Q) % N)
-    for row in np.nonzero(lead == 0)[0]:
-        block_row = np.zeros(dim, dtype=complex)
-        np.add.at(block_row, flat, product[row] * phases)
-        block[flat[row]] = block_row
+    rows = np.flatnonzero(lead == 0)
+    phases = np.exp(2j * np.pi / N) ** (-(lead * Q) % N)
+    block = np.empty((dim, dim), dtype=complex)
+    block[flat[rows]] = (product[rows] * phases) @ (flat[:, None] == np.arange(dim))
     return block
 
 
@@ -475,8 +471,10 @@ def build_sector_transfer(
 ) -> tuple[SectorMatrix, SectorMatrix]:
     """Charge-Q blocks (T_Q, That_Q) of the two row transfer matrices at q.
 
-    The block entry is the Fourier sum over the leading-spin shift m with
-    phase omega^(-mQ) of the checked layers of `_transfer_layers`.
+    T_Q is a read-only view of the checked blocks of `_transfer_blocks`;
+    That_Q = S_Q T_Q is one translation gather of it (`_translation`):
+    the That row prod_j Wbar(s_j - s''_j) W(s_j - s''_(j+1)) of
+    `spin_transfer` is the T row of the translated bra row.
 
     Raises:
         SizeGuardError: N^(L-1) above the cap.
@@ -484,10 +482,11 @@ def build_sector_transfer(
     """
     if not 0 <= Q < q.N:
         raise ValueError(f"sector index Q={Q} outside [0, {q.N})")
-    return tuple(
-        SectorMatrix(N=q.N, L=L, Q=Q, kp=q.kp, op=_fourier(layers, Q))
-        for layers in _transfer_layers(q, L)
-    )
+    t = _transfer_blocks(q, L)[Q]
+    rows, phase = _translation(q.N, L, Q)
+    t_hat = t[rows]
+    t_hat *= phase[:, None]
+    return tuple(SectorMatrix(N=q.N, L=L, Q=Q, kp=q.kp, op=op) for op in (t, t_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +669,7 @@ def sector_product_operator(
     spin s''_(j+1) takes the factors of tau_j).  A sector vector is lifted
     to the spin basis with phases omega^(-Q sigma_1), both operators are
     applied there, and the rows with sigma_1 = 0, one per edge class, are
-    read back, as in the sector check of `_transfer_layers`.
+    read back, as in the sector check of `_transfer_blocks`.
 
     Raises:
         SizeGuardError: the sparse route's estimated bytes above the cap.
@@ -782,13 +781,16 @@ def certify_ground_state(state: GroundState, q: RapidityPoint) -> TransferCertif
 
 @dataclass(frozen=True, eq=False)
 class SectorSpectrum:
-    """Biorthonormal eigensystem of one sector operator.
+    """Biorthonormal eigensystem of one sector operator X, kept in the
+    blocks of a sparse unitary U that it was solved in.
 
-    eigenvalues are sorted by modulus descending; right[:, i] and left[i, :]
-    are the paired eigenvectors with left @ right = identity.
-    biorth_residual is the largest entry of |left @ right - identity|
-    within the momentum blocks of `sector_spectrum`; across blocks the
-    product vanishes by the unitarity of the momentum basis.
+    Block b spans the columns of U from starts[b] on; right[b][:, i] and
+    left[b][i] are paired eigenvectors of U_b^H X U_b, left[b] @ right[b]
+    = identity, whose edge-basis forms U_b right[b][:, i] and left[b][i]
+    U_b^H are lifted for the dominant pair only.  eigenvalues are sorted
+    by modulus descending, eigenvalues[j] being the level of column
+    order[j].  biorth_residual is the largest entry of |left[b] @ right[b]
+    - identity|; across blocks the product vanishes as U is unitary.
     """
 
     N: int
@@ -796,49 +798,58 @@ class SectorSpectrum:
     Q: int
     kp: float
     eigenvalues: np.ndarray = field(repr=False)
-    right: np.ndarray = field(repr=False)
-    left: np.ndarray = field(repr=False)
+    basis: object = field(repr=False)
+    starts: np.ndarray = field(repr=False)
+    right: tuple = field(repr=False)
+    left: tuple = field(repr=False)
+    order: np.ndarray = field(repr=False)
     biorth_residual: float
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
+    def dominant(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lifted dominant pair: right column r_0 and left row l_0."""
+        column = self.order[0]
+        b = np.searchsorted(self.starts, column, side="right") - 1
+        i = column - self.starts[b]
+        u = self.basis[:, self.starts[b]:self.starts[b] + len(self.right[b])]
+        return u @ self.right[b][:, i], u.conj() @ self.left[b][i]
 
-
-def _row_roll(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """The edge configurations and, per configuration e, the flat index
-    of roll(e) = (e_2, ..., e_L, e_1): the edges of the spin row
-    translated by one site."""
-    configs = edge_configs(N, L)
-    return configs, np.asarray(edge_index(N, np.roll(configs, -1, axis=1)))
+    def overlaps(self, left: np.ndarray, right: np.ndarray) -> tuple:
+        """left . r_j and l_j . right for every level j in eigenvalue order,
+        as (left U)_b right[b] and left[b] (U^H right)_b."""
+        row = self.basis.T @ left
+        column = self.basis.conj().T @ right
+        blocks = list(zip(self.starts, self.right, self.left))
+        forward = np.concatenate([row[s:s + len(vr)] @ vr for s, vr, _ in blocks])
+        backward = np.concatenate([vl @ column[s:s + len(vl)] for s, _, vl in blocks])
+        return forward[self.order], backward[self.order]
 
 
 def _check_translation_invariance(block: SectorMatrix) -> None:
     """Raise IdentityViolationError unless the block X commutes with the
-    charge-Q row translation (S_Q v)[e] = omega^(Q e_1) v[roll(e)] to
-    1e-12 of its largest entry.  S_Q is a permutation with unit phases,
-    so S_Q X S_Q^H - X = (S_Q X - X S_Q) S_Q^H has the same entries up to
-    order and phase, and S_Q X S_Q^H is one index gather of X."""
+    row translation S_Q of `_translation` to 1e-12 of its largest entry.
+    S_Q is a permutation with unit phases, so S_Q X S_Q^H - X =
+    (S_Q X - X S_Q) S_Q^H has the same entries up to order and phase, and
+    S_Q X S_Q^H is one index gather of X."""
     N, L, Q = block.N, block.L, block.Q
-    configs, target = _row_roll(N, L)
-    phase = np.exp(2j * np.pi / N) ** ((Q * configs[:, 0]) % N)
+    rows, phase = _translation(N, L, Q)
     mat = block.mat
-    deviation = np.max(np.abs(
-        phase[:, None] * mat[np.ix_(target, target)] * phase.conj() - mat
-    ))
-    if not deviation <= 1e-12 * np.max(np.abs(mat)):
+    deviation = mat[np.ix_(rows, rows)]
+    deviation *= phase[:, None]
+    deviation *= phase.conj()
+    deviation -= mat
+    worst = np.max(np.abs(deviation))
+    if not worst <= 1e-12 * np.max(np.abs(mat)):
         raise IdentityViolationError(
-            f"sector block breaks translation invariance by {deviation:.3e} "
+            f"sector block breaks translation invariance by {worst:.3e} "
             f"in sector Q={Q} (N={N}, L={L})"
         )
 
 
 def _momentum_basis(N: int, L: int, Q: int) -> tuple[object, np.ndarray]:
     """Unitary eigenbasis U of the charge-Q row translation S_Q (see
-    `_check_translation_invariance`), as a sparse CSC array with its
-    columns sorted by row momentum, and the L + 1 column offsets of the
-    momentum blocks: S_Q U[:, offsets[m]:offsets[m+1]] is that block
-    times exp(2 pi i m / L).
+    `_translation`), as a sparse CSC array with its columns sorted by row
+    momentum, and the L + 1 column offsets of the momentum blocks:
+    S_Q U[:, offsets[m]:offsets[m+1]] is that block times exp(2 pi i m / L).
 
     An orbit of e under roll, of period d and one-period edge sum s,
     carries momentum m iff m d N = Q s L (mod N L); that vector has entry
@@ -848,7 +859,8 @@ def _momentum_basis(N: int, L: int, Q: int) -> tuple[object, np.ndarray]:
     """
     import scipy.sparse
 
-    configs, target = _row_roll(N, L)
+    configs = edge_configs(N, L)
+    target, _ = _translation(N, L, Q)
     dim = len(configs)
     states = np.arange(dim)
     # rolled[k] is roll^k(e) and partial[k] is e_1 + ... + e_k
@@ -921,79 +933,71 @@ def _by_modulus(values: np.ndarray) -> np.ndarray:
     return np.lexsort((np.angle(values), -np.abs(values)))
 
 
-def sector_spectrum(block: SectorMatrix, pair: SectorMatrix) -> SectorSpectrum:
-    """Full biorthogonal spectrum of the block product block.mat @ pair.mat
-    (the two-row evolution operator).  The dominant right eigenvector is
-    checked to be proportional to the ground state of the sector
-    Hamiltonian at the same modulus (from `ground_state`), which is the
-    shared-eigenbasis property everything downstream relies on.
+def sector_spectrum(block: SectorMatrix) -> SectorSpectrum:
+    """Full biorthogonal spectrum of the two-row evolution operator
+    T_Q That_Q of one sector, from T_Q = block.mat.  The dominant right
+    eigenvector is checked to be proportional to the ground state of the
+    sector Hamiltonian at the same modulus (from `ground_state`), which
+    is the shared-eigenbasis property everything downstream relies on.
 
-    Both factors are first checked to commute with the row translation
-    and projected onto its momentum basis (`_momentum_basis`); each
-    momentum block is diagonalized on its own and its eigenvectors are
-    lifted back to the edge basis.  Left and right vectors of different
-    momenta are orthogonal by construction, so biorthonormalization runs
-    block by block, and its residual is the largest over the blocks.
+    T_Q is checked to commute with the row translation S_Q, and That_Q =
+    S_Q T_Q (`build_sector_transfer`); on the momentum block m of
+    `_momentum_basis`, where S_Q is exp(2 pi i m / L), the operator is
+    therefore exp(2 pi i m / L) B_m^2 with B_m = U_m^H T_Q U_m.  Each B_m
+    is diagonalized on its own, and biorthonormalized block by block.
 
     Raises:
-        IdentityViolationError: a factor breaks translation invariance.
+        IdentityViolationError: T_Q breaks translation invariance.
         DegenerateMaxEigenvalueError: top two eigenvalue moduli coincide.
         OrthogonalityViolationError: biorthonormalization failed.
         EigenbasisMismatchError: dominant vector not the chain ground state.
     """
     _check_translation_invariance(block)
-    _check_translation_invariance(pair)
     basis, offsets = _momentum_basis(block.N, block.L, block.Q)
     adjoint = basis.conj().T.tocsr()
-    uh_t, uh_t_hat = adjoint @ block.mat, adjoint @ pair.mat
-    solved = []
-    for start, stop in zip(offsets[:-1], offsets[1:]):
+    starts, solved = [], []
+    for m, (start, stop) in enumerate(zip(offsets[:-1], offsets[1:])):
         if start == stop:
             continue
-        u = basis[:, start:stop]
-        product = (uh_t[start:stop] @ u) @ (uh_t_hat[start:stop] @ u)
-        values, vl, vr = scipy.linalg.eig(product, left=True, right=True)
-        order = _by_modulus(values)
-        solved.append((start, stop, values[order], vl[:, order], vr[:, order]))
-    # free the projections before the lifted systems are allocated
-    del uh_t, uh_t_hat
-    values = np.concatenate([entry[2] for entry in solved])
-    order = _by_modulus(values)
-    values = values[order]
+        projected = (adjoint[start:stop] @ block.mat) @ basis[:, start:stop]
+        mu, vl, vr = scipy.linalg.eig(projected, left=True, right=True)
+        phase = np.exp(2j * np.pi * m / block.L)
+        order = _by_modulus(phase * mu**2)
+        starts.append(start)
+        solved.append((phase * mu[order] ** 2, phase, projected, vl[:, order], vr[:, order]))
+    values = np.concatenate([entry[0] for entry in solved])
+    values = values[_by_modulus(values)]
+    where = f"in sector Q={block.Q} (N={block.N}, L={block.L})"
     if len(values) > 1:
         top, second = abs(values[0]), abs(values[1])
         if top - second <= DEGENERACY_RTOL * top:
             raise DegenerateMaxEigenvalueError(
-                f"top eigenvalue moduli {top:.12e} and {second:.12e} "
-                f"coincide in sector Q={block.Q} (N={block.N}, L={block.L})"
+                f"top eigenvalue moduli {top:.12e} and {second:.12e} coincide {where}"
             )
-    scale = float(np.max(np.abs(values))) or 1.0
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    right = np.empty((block.dim, block.dim), dtype=complex, order="F")
-    left = np.empty((block.dim, block.dim), dtype=complex)
-    biorth = 0.0
-    for start, stop, block_values, vl, vr in solved:
-        block_left, residual = _biorthonormalize(block_values, vr, vl.conj().T, scale)
+    scale = float(abs(values[0])) or 1.0
+    right, left, refined, biorth = [], [], [], 0.0
+    for levels, phase, projected, vl, vr in solved:
+        block_left, residual = _biorthonormalize(levels, vr, vl.conj().T, scale)
+        right.append(vr)
+        left.append(block_left)
         biorth = max(biorth, residual)
-        right[:, rank[start:stop]] = basis[:, start:stop] @ vr
-        left[rank[start:stop]] = block_left @ adjoint[start:stop]
+        # each mu again as its biorthogonal Rayleigh quotient, whose error
+        # is second order in the vectors' (eig's mu is off by up to 1e-14)
+        refined.append(phase * np.sum(block_left * (projected @ vr).T, axis=1) ** 2)
     if not biorth <= 1e-8:
         raise OrthogonalityViolationError(
             f"biorthonormality residual {biorth:.3e} in sector Q={block.Q}"
         )
-    ground = ground_state(block.N, block.L, block.Q, block.kp).vector
-    _dominance(right[:, 0], ground, f"in sector Q={block.Q} (N={block.N}, L={block.L})")
-    return SectorSpectrum(
-        N=block.N,
-        L=block.L,
-        Q=block.Q,
-        kp=block.kp,
-        eigenvalues=values,
-        right=right,
-        left=left,
-        biorth_residual=biorth,
+    values = np.concatenate(refined)
+    order = _by_modulus(values)
+    spectrum = SectorSpectrum(
+        N=block.N, L=block.L, Q=block.Q, kp=block.kp, eigenvalues=values[order],
+        basis=basis, starts=np.array(starts), right=tuple(right), left=tuple(left),
+        order=order, biorth_residual=biorth,
     )
+    ground = ground_state(block.N, block.L, block.Q, block.kp).vector
+    _dominance(spectrum.dominant()[0], ground, where)
+    return spectrum
 
 
 def transfer_block_of_charge(N: int, L: int, charge: int) -> int:
@@ -1053,12 +1057,8 @@ def product_spectra(
         q = physical_point(N, kp)
     elif q.N != N or abs(q.kp - kp) > CURVE_TOL:
         raise CurveMismatchError(f"rapidity N={q.N}, k'={q.kp} is off N={N}, k'={kp}")
-    out = []
-    for charge in range(N):
-        block = transfer_block_of_charge(N, L, charge)
-        t_block, t_hat_block = build_sector_transfer(q, L, block)
-        out.append(sector_spectrum(t_block, t_hat_block))
-    return out
+    blocks = [transfer_block_of_charge(N, L, charge) for charge in range(N)]
+    return [sector_spectrum(build_sector_transfer(q, L, Q)[0]) for Q in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -1090,11 +1090,8 @@ def overlap_product(
     """
     if spectra is None:
         spectra = product_spectra(N, L, kp)
-    spec_q = spectra[Q % N]
-    spec_p = spectra[P % N]
-    forward = spec_q.left[0] @ spec_p.right[:, 0]
-    backward = spec_p.left[0] @ spec_q.right[:, 0]
-    return _real_part(forward * backward, f"overlap product (Q={Q}, P={P})")
+    forward, backward = spectral_overlaps(spectra, Q % N, P % N)
+    return _real_part(forward[0] * backward[0], f"overlap product (Q={Q}, P={P})")
 
 
 def pair_correlation(
@@ -1154,7 +1151,8 @@ def correlation_table(
 def spectral_overlaps(spectra: list[SectorSpectrum], Q: int, P: int) -> tuple:
     """forward[j] = l_Q . r^P_j and backward[j] = l^P_j . r_Q for every level
     j of sector P; their product is its weight in the pair correlation."""
-    return spectra[Q].left[0] @ spectra[P].right, spectra[P].left @ spectra[Q].right[:, 0]
+    right_q, left_q = spectra[Q].dominant()
+    return spectra[P].overlaps(left_q, right_q)
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def test_size_guard_hint_is_written_once(runner, argv):
     "order --N 2 --L 4 --r 1 --kp 1e-80",
     "formfactor --N 3 --L 6 --Q 0 --P 2 --kp 1e-70",
     "drinfeld --N 3 --L 6 --Q 1 --kp 1e-90",
-    "oracle --N 2 --L 4 --kp 0.999999",
+    "oracle --N 2 --L 4 --kp 1e-9",
     "correlate --N 2 --L 4 --kp 1e-9 --r 1",
 ])
 def test_typed_error_exits_four_without_traceback(runner, argv):
@@ -386,8 +386,9 @@ def _argv(draw):
     if command in ("order", "sweep", "correlate"):
         options.append(("--r", draw(st.integers(1, n - 1))))
     if command not in ("identity", "appendix"):
-        # 1e-80, 0.999999 and 1e-400 lie inside (0, 1) but far enough out to
-        # trip typed errors, or to round to 0.0 on the float lattice
+        # 1e-80 and 1e-400 lie inside (0, 1) but far enough out to trip
+        # typed errors, or to round to 0.0 on the float lattice; 0.999999
+        # is a modulus close to 1 that every command runs
         options.append(("--kp", draw(st.sampled_from(
             ["0.2", "0.5", "0.8", "1e-80", "0.999999", "1e-400", "1/3"]
         ))))

@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,6 +80,15 @@ def test_curve_residuals_on_grid():
             assert superintegrable_point(N, kp).curve_residual() < 1e-15
             assert physical_point(N, kp).curve_residual() < 1e-14
             assert horizontal_point(N, kp, 0.9).curve_residual() < 1e-14
+    # log grids toward k' = 0, where y^N = (k - x^N)/(1 - k x^N) would
+    # cancel as t -> 1, and toward k' = 1, where sqrt(1 - k'^2) would;
+    # both constructions raise CurveMismatchError past these bounds
+    for N in (2, 3, 4, 5, 6):
+        for kp in np.concatenate([
+            np.logspace(-8, np.log10(0.044), 40), 1.0 - np.logspace(-12, -1, 120)
+        ]):
+            assert superintegrable_point(N, kp).curve_residual() < 1e-15
+            assert physical_point(N, kp).curve_residual() < 1e-14
 
 
 def test_modulus_and_branch_validation():
@@ -340,11 +351,16 @@ def loop_transfer_layers(q: RapidityPoint, L: int) -> tuple[np.ndarray, np.ndarr
     [(2, 1), (3, 1), (2, 2), (3, 2), (4, 3), (5, 3), (2, 9), (3, 6), (4, 5), (2, 11), (3, 7)],
 )
 def test_ring_layers_equal_row_loop(N, L):
+    # the sizes run past the spin check, where That_Q = S_Q T_Q is the
+    # identity the spectra rely on; np.fft.fft sums with omega^(-mQ)
     q = physical_point(N, 0.5)
-    got = lattice._transfer_layers(q, L)
-    for layers, expected in zip(got, loop_transfer_layers(q, L)):
-        assert layers.shape == expected.shape
-        assert np.max(np.abs(layers - expected)) <= 1e-13 * np.max(np.abs(expected))
+    layers, layers_hat = (np.fft.fft(x, axis=0) for x in loop_transfer_layers(q, L))
+    blocks = lattice._transfer_blocks(q, L)
+    assert blocks.shape == layers.shape and not blocks.flags.writeable
+    assert np.max(np.abs(blocks - layers)) <= 1e-13 * np.max(np.abs(layers))
+    for Q in range(N):
+        _, t_hat = build_sector_transfer(q, L, Q)
+        assert np.max(np.abs(t_hat.mat - layers_hat[Q])) <= 1e-13 * np.max(np.abs(layers_hat[Q]))
 
 
 @pytest.mark.parametrize("N, L", [(2, 1), (2, 2), (3, 2), (2, 5), (3, 4), (4, 3)])
@@ -361,15 +377,38 @@ def test_batched_ring_equals_column_applies(N, L):
 
 
 def test_product_spectra_build_the_layers_once():
-    lattice._transfer_layers.cache_clear()
+    lattice._transfer_blocks.cache_clear()
     product_spectra(3, 4, 0.5)
-    assert lattice._transfer_layers.cache_info().misses == 1
+    assert lattice._transfer_blocks.cache_info().misses == 1
 
 
 def test_layers_are_kept_for_one_rapidity_only():
     product_spectra(3, 4, 0.5)
     product_spectra(3, 4, 0.6)
-    assert lattice._transfer_layers.cache_info().currsize == 1
+    assert lattice._transfer_blocks.cache_info().currsize == 1
+
+
+def test_sector_blocks_are_read_only_views_of_the_cache():
+    q = physical_point(3, 0.5)
+    t_block, t_hat_block = build_sector_transfer(q, 4, 1)
+    assert t_block.mat.base is lattice._transfer_blocks(q, 4)
+    with pytest.raises(ValueError):
+        t_block.mat[0, 0] = 0.0
+    assert t_hat_block.mat.base is None
+
+
+def test_product_spectra_and_table_stay_within_ten_mib():
+    # the parent, which held both factors and each sector's lifted left
+    # and right eigenvector matrices, peaked at 19.1 MiB here
+    lattice._transfer_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        spectra = product_spectra(4, 5, 0.5)
+        correlation_table(spectra, 1, range(65))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
 
 
 def test_corrupted_site_kernel_fails_the_sector_product_check(monkeypatch):
@@ -381,7 +420,7 @@ def test_corrupted_site_kernel_fails_the_sector_product_check(monkeypatch):
         return out
 
     monkeypatch.setattr(lattice, "_site_kernel", corrupted)
-    lattice._transfer_layers.cache_clear()
+    lattice._transfer_blocks.cache_clear()
     with pytest.raises(CurveMismatchError, match="sector product check failed"):
         build_sector_transfer(physical_point(3, 0.5), 3, 0)
 
@@ -485,8 +524,7 @@ def test_sector_spectrum_contracts():
     N, L, kp = 3, 4, 0.5
     q = physical_point(N, kp)
     for Q in range(N):
-        t_block, t_hat_block = build_sector_transfer(q, L, Q)
-        spec = sector_spectrum(t_block, t_hat_block)
+        spec = sector_spectrum(build_sector_transfer(q, L, Q)[0])
         mods = np.abs(spec.eigenvalues)
         assert np.all(mods[:-1] >= mods[1:] - 1e-12)
         assert spec.biorth_residual < 1e-10
@@ -494,7 +532,8 @@ def test_sector_spectrum_contracts():
 
 def _whole_block_spectrum(block, pair):
     """Reference route: one dense eig of the whole product block, sorted
-    by modulus, with one linear solve per degenerate cluster."""
+    by modulus, with one linear solve per degenerate cluster, kept as a
+    one-block spectrum on the identity basis."""
     values, vl, vr = scipy.linalg.eig(block.mat @ pair.mat, left=True, right=True)
     order = np.lexsort((np.angle(values), -np.abs(values)))
     values, right, left = values[order], vr[:, order], vl[:, order].conj().T
@@ -507,9 +546,11 @@ def _whole_block_spectrum(block, pair):
         cluster = slice(start, stop)
         left[cluster] = np.linalg.solve(left[cluster] @ right[:, cluster], left[cluster])
         start = stop
+    dim = len(values)
     return lattice.SectorSpectrum(
         N=block.N, L=block.L, Q=block.Q, kp=block.kp, eigenvalues=values,
-        right=right, left=left, biorth_residual=0.0,
+        basis=scipy.sparse.eye_array(dim, format="csc"), starts=np.array([0]),
+        right=(right,), left=(left,), order=np.arange(dim), biorth_residual=0.0,
     )
 
 
@@ -576,13 +617,13 @@ def test_translation_breaking_kernel_raises_typed_error(monkeypatch):
         return out
 
     monkeypatch.setattr(lattice, "_site_kernel", corrupted)
-    lattice._transfer_layers.cache_clear()
+    lattice._transfer_blocks.cache_clear()
     try:
-        t_block, t_hat_block = build_sector_transfer(physical_point(4, 0.5), 4, 1)
+        t_block, _ = build_sector_transfer(physical_point(4, 0.5), 4, 1)
         with pytest.raises(IdentityViolationError, match="translation invariance"):
-            sector_spectrum(t_block, t_hat_block)
+            sector_spectrum(t_block)
     finally:
-        lattice._transfer_layers.cache_clear()
+        lattice._transfer_blocks.cache_clear()
 
 
 def test_translation_check_survives_optimize_flag(run_optimized):
@@ -596,6 +637,17 @@ def test_singular_singleton_raises_typed_error():
         lattice._biorthonormalize(np.array([3.0, 2.0, 1.0]), np.eye(3), left, 3.0)
 
 
+@pytest.mark.parametrize("N, L, kp", [(2, 9, 0.5), (3, 6, 0.3), (4, 5, 0.7)])
+def test_dominant_eigenvalue_is_the_matrix_free_rayleigh_quotient(N, L, kp):
+    # exp(2 pi i m / L) mu^2 from a plain eig of the momentum block is off
+    # by 9e-15 to 1.5e-14 here; the biorthogonal Rayleigh quotient is not
+    q = physical_point(N, kp)
+    for spec in product_spectra(N, L, kp):
+        right, left = spec.dominant()
+        quotient = (left @ sector_product_operator(q, L, spec.Q)(right)) / (left @ right)
+        assert abs(spec.eigenvalues[0] - quotient) <= 4e-15 * abs(quotient)
+
+
 def test_ground_match_verified_through_width_five():
     # the shared-eigenbasis identification is checked inside, so passing
     # construction is the assertion
@@ -605,9 +657,9 @@ def test_ground_match_verified_through_width_five():
 
 def test_equal_rapidity_product_is_degenerate():
     p = superintegrable_point(2, 0.5)
-    t_block, t_hat_block = build_sector_transfer(p, 4, 0)
+    t_block, _ = build_sector_transfer(p, 4, 0)
     with pytest.raises(DegenerateMaxEigenvalueError):
-        sector_spectrum(t_block, t_hat_block)
+        sector_spectrum(t_block)
 
 
 def test_unphysical_branch_detected():
@@ -622,8 +674,8 @@ def test_spectra_are_rapidity_independent():
     low = product_spectra(N, L, kp, q=physical_point(N, kp, fraction=0.35))
     high = product_spectra(N, L, kp, q=physical_point(N, kp, fraction=0.65))
     for spec_a, spec_b in zip(low, high):
-        a = spec_a.right[:, 0]
-        b = spec_b.right[:, 0]
+        a = spec_a.dominant()[0]
+        b = spec_b.dominant()[0]
         cosine = abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
         assert 1.0 - cosine < 1e-8
 
@@ -709,11 +761,14 @@ def test_overlap_rescaling_invariance():
     N, L, kp = 2, 3, 0.5
     spectra = product_spectra(N, L, kp)
     base = overlap_product(N, L, kp, 0, 1, spectra=spectra)
-    right = spectra[1].right.copy()
-    left = spectra[1].left.copy()
-    right[:, 0] *= 7.3 - 2.0j
-    left[0] /= 7.3 - 2.0j
-    rescaled = dataclasses.replace(spectra[1], right=right, left=left)
+    spec = spectra[1]
+    column = spec.order[0]
+    b = np.searchsorted(spec.starts, column, side="right") - 1
+    right, left = list(spec.right), list(spec.left)
+    right[b], left[b] = right[b].copy(), left[b].copy()
+    right[b][:, column - spec.starts[b]] *= 7.3 - 2.0j
+    left[b][column - spec.starts[b]] /= 7.3 - 2.0j
+    rescaled = dataclasses.replace(spec, right=tuple(right), left=tuple(left))
     assert abs(overlap_product(N, L, kp, 0, 1, spectra=[spectra[0], rescaled]) - base) < 1e-13
 
 
