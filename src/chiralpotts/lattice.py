@@ -10,9 +10,13 @@ Lanczos iteration (ARPACK); the overlap product of sectors Q and P is
 then |<g_Q|g_P>|^2.  Each ground state is certified against the two-row
 transfer operator T_Q That_Q, applied matrix-free as L site-local
 contractions on the spin basis: g must be an eigenvector of it (the
-eigen-residual) and must be its dominant one (an Arnoldi run from a
-fixed random start has to land on g).  This route is capped by memory,
-not by the dense dimension cap.
+eigen-residual) and must be its dominant one.  The spin basis is the
+direct sum of the N charge sectors and T That is block-diagonal in it,
+so one Arnoldi run from a fixed random spin vector tests every sector
+of a request at once: each sector is scaled by the inverse of its
+ground state's eigenvalue, and the run has to land in the span of the
+ground states.  This route is capped by memory, not by the dense
+dimension cap.
 
 The correlation route needs the whole spectrum.  The dense layers of
 the row transfer matrix T come from the same site-local ring
@@ -266,18 +270,21 @@ def sparse_bytes(N: int, L: int) -> int:
     (COO triplets, the CSR block and the copies of its adjoint check;
     154 measured at (2,16), (3,10) and (4,8)); Lanczos holds the CSR block
     (24 per nonzero) and the Krylov basis (16 (KRYLOV_VECTORS + 4) per
-    state); the certificate holds a Krylov basis and, per spin row of
-    N^L, the encoder's digit arrays (24 L), the lifted vector (16) and the
-    auxiliary-spin work tensor (32 N).  Python integers, so a request far
-    past the cap is refused without allocating anything.
+    state); the certificate runs Arnoldi over the spin space, so per spin
+    row of N^L it holds a Krylov basis (16 (KRYLOV_VECTORS + 4)), the
+    encoder's digit arrays (24 L), the lifted vector (16), the
+    auxiliary-spin work tensor (32 N) and the charge mixing's two index
+    arrays and two gathered copies (48); 663 to 733 bytes per spin row
+    measured at (2,12), (3,9), (4,7) and (5,5).  Python integers, so a
+    request far past the cap is refused without allocating anything.
     """
     dim = N ** (L - 1)
     nonzeros = dim * ((N - 1) * L + 1)
-    krylov = 16 * (KRYLOV_VECTORS + 4) * dim
+    krylov = 16 * (KRYLOV_VECTORS + 4)
     return max(
         160 * nonzeros,
-        24 * nonzeros + krylov,
-        krylov + N**L * (24 * L + 16 + 32 * N),
+        24 * nonzeros + krylov * dim,
+        N**L * (krylov + 24 * L + 64 + 32 * N),
     )
 
 
@@ -657,19 +664,29 @@ def _ring_apply(kernel: np.ndarray, u: np.ndarray, N: int, L: int) -> np.ndarray
     return (last @ y.reshape(N * N, -1)).reshape(u.shape)
 
 
-def sector_product_operator(
-    q: RapidityPoint, L: int, Q: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Matrix-free charge-Q block of T That: v -> T_Q That_Q v.
+def _ring_pair(kernel: np.ndarray, u: np.ndarray, N: int, L: int) -> np.ndarray:
+    """T That u for one spin-basis vector u.
 
     The spin-basis matrices of `spin_transfer` factor over the sites:
     T[s', s] = prod_j W(s_j - s'_j) Wbar(s_(j+1) - s'_j) is the ring of
     `_ring_apply` with the kernel of `_site_kernel`, and That is the same
     ring followed by a one-site translation of the output row (its bra
-    spin s''_(j+1) takes the factors of tau_j).  A sector vector is lifted
-    to the spin basis with phases omega^(-Q sigma_1), both operators are
-    applied there, and the rows with sigma_1 = 0, one per edge class, are
-    read back, as in the sector check of `_transfer_blocks`.
+    spin s''_(j+1) takes the factors of tau_j).  Both commute with the
+    global spin shift, so each charge sector is mapped into itself.
+    """
+    shifted = _ring_apply(kernel, u, N, L).reshape(N, -1).T.ravel()
+    return _ring_apply(kernel, shifted, N, L)
+
+
+def sector_product_operator(
+    q: RapidityPoint, L: int, Q: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Matrix-free charge-Q block of T That: v -> T_Q That_Q v.
+
+    A sector vector is lifted to the spin basis with phases
+    omega^(-Q sigma_1), `_ring_pair` applies both operators there, and
+    the rows with sigma_1 = 0, one per edge class, are read back, as in
+    the sector check of `_transfer_blocks`.
 
     Raises:
         SizeGuardError: the sparse route's estimated bytes above the cap.
@@ -687,8 +704,7 @@ def sector_product_operator(
 
     def apply(v: np.ndarray) -> np.ndarray:
         lifted = np.asarray(v).ravel()[flat] * phases
-        shifted = _ring_apply(kernel, lifted, N, L).reshape(N, -1).T.ravel()
-        image = _ring_apply(kernel, shifted, N, L)
+        image = _ring_pair(kernel, lifted, N, L)
         out = np.empty(dim, dtype=complex)
         out[flat[rows]] = image[rows]
         return out
@@ -701,8 +717,9 @@ class TransferCertificate:
     """How closely a chain ground state g passed the transfer test.
 
     eigen_residual is |T That g - lam g| / |lam g| with lam = <g, T That g>;
-    dominance is 1 - |cos| between g and the dominant T That vector that
-    Arnoldi reached from a random start.
+    dominance is 1 - |cos| between g and the charge component of its
+    sector in the dominant vector that Arnoldi reached from a random
+    start (see `certify_ground_states`).
     """
 
     eigen_residual: float
@@ -711,8 +728,10 @@ class TransferCertificate:
 
 def _dominance(lead: np.ndarray, ground: np.ndarray, where: str) -> float:
     """1 - |cos| between a dominant transfer vector and the normalised chain
-    ground state; EigenbasisMismatchError above EIGENBASIS_TOL."""
-    cosine = abs(np.vdot(lead, ground)) / np.linalg.norm(lead)
+    ground state; EigenbasisMismatchError above EIGENBASIS_TOL, also for
+    a zero or NaN vector."""
+    norm = np.linalg.norm(lead)
+    cosine = abs(np.vdot(lead, ground)) / norm if norm else 0.0
     dominance = float(1.0 - cosine)
     if not dominance <= EIGENBASIS_TOL:
         raise EigenbasisMismatchError(
@@ -724,55 +743,121 @@ def _dominance(lead: np.ndarray, ground: np.ndarray, where: str) -> float:
 
 
 def certify_ground_state(state: GroundState, q: RapidityPoint) -> TransferCertificate:
-    """Check that g is the dominant eigenvector of T_Q That_Q at rapidity q.
+    """Check that g is the dominant eigenvector of T_Q That_Q at rapidity q:
+    `certify_ground_states` for one state."""
+    return certify_ground_states([state], q)[0]
 
-    The residual alone does not suffice: off the physical window g is
-    still an eigenvector of the transfer product, just not its dominant
-    one.  So ARPACK's Arnoldi iteration (`eigs`, largest modulus) must
-    reach g from a fixed random start; it is never started from g, whose
-    Krylov space is invariant and would return g untested.  Below ARPACK's
-    minimum dimension (k >= dim - 1) the operator is applied to the
-    identity and solved densely.
+
+def certify_ground_states(states, q: RapidityPoint) -> list[TransferCertificate]:
+    """Check that each g_Q is the dominant eigenvector of T_Q That_Q at
+    rapidity q, all sectors in one Arnoldi run; certificates in the order
+    of `states`, whose sectors must be distinct.
+
+    First each g_Q must be an eigenvector: lam_Q = <g_Q, T_Q That_Q g_Q>
+    and the eigen-residual come from `sector_product_operator`.  The
+    residual alone does not suffice: off the physical window g is still
+    an eigenvector of the transfer product, just not its dominant one.
+
+    Dominance is tested on the spin space, the direct sum of the N charge
+    sectors, where T That is block-diagonal (`_ring_pair`).  The operator
+    M is T That followed by a charge mixing that scales the charge-Q
+    component by 1/lam_Q for each named Q and drops the unnamed ones:
+    the spin rows are gathered by (leading spin, edge class) from
+    `_edge_classes`, mixed by one N x N matrix (lift diag(c) split), and
+    scattered back.  Every g_Q is dominant in its sector exactly when the
+    dominant eigenvalue of M is 1 with its eigenvectors in the span of
+    the lifted g_Q.  So ARPACK's Arnoldi iteration (`eigs`, largest
+    modulus) runs once from a fixed random spin vector, never from the
+    g_Q, whose span is invariant and would be returned untested, and
+    each named charge component of the vector it returns must be
+    parallel to g_Q (`_dominance`).  The sectors are checked by
+    decreasing share of that vector, so a failure names the sector that
+    holds most of it: an excited g_Q pulls the whole vector into sector
+    Q and leaves the other components empty.
+
+    ARPACK stops once a Ritz residual is at most tol |theta|.  At tol = 0
+    it would stall on the cluster of N scaled copies of 1, which agree
+    only to about 1e-14 since the Rayleigh quotients are only that
+    accurate.  tol = DEGENERACY_RTOL EIGENBASIS_TOL^(1/2) = 1e-13 moves
+    1 - |cos| of a sector component by at most about (tol / gamma)^2 / 2
+    <= 5e-9, below EIGENBASIS_TOL, wherever the relative gap gamma to the
+    sector's next level is at least DEGENERACY_RTOL; below that gap the
+    dense route already refuses.  Below ARPACK's minimum dimension (k >=
+    N^L - 1) M is applied to the identity and solved densely.
 
     Raises:
+        ValueError: states of another rank or width than the first, or
+            two states of one sector.
         EigenbasisMismatchError: residual or 1 - |cos| above EIGENBASIS_TOL.
         DegenerateMaxEigenvalueError: Arnoldi did not converge.
     """
     import scipy.sparse.linalg
 
-    apply = sector_product_operator(q, state.L, state.Q)
-    ground = state.vector
-    image = apply(ground)
-    eigenvalue = complex(np.vdot(ground, image))
-    residual = float(np.linalg.norm(image - eigenvalue * ground) / abs(eigenvalue))
-    where = f"in sector Q={state.Q} (N={state.N}, L={state.L})"
-    if not residual <= EIGENBASIS_TOL:
-        raise EigenbasisMismatchError(
-            f"chain ground state is no transfer eigenvector: relative "
-            f"residual {residual:.3e} {where}"
-        )
-    dim = len(ground)
-    if dim <= 2:
-        dense = np.column_stack([apply(column) for column in np.eye(dim)])
+    states = list(states)
+    if not states:
+        return []
+    N, L = q.N, states[0].L
+    sectors = [state.Q for state in states]
+    if len(set(sectors)) < len(sectors) or any(
+        (state.N, state.L) != (N, L) for state in states
+    ):
+        raise ValueError(f"need one state per sector at N={N}, L={L}, got {sectors}")
+    residuals, scale = [], np.zeros(N, dtype=complex)
+    for state in states:
+        ground = state.vector
+        image = sector_product_operator(q, L, state.Q)(ground)
+        eigenvalue = complex(np.vdot(ground, image))
+        residual = float(np.linalg.norm(image - eigenvalue * ground) / abs(eigenvalue))
+        if not residual <= EIGENBASIS_TOL:
+            raise EigenbasisMismatchError(
+                f"chain ground state is no transfer eigenvector: relative "
+                f"residual {residual:.3e} in sector Q={state.Q} (N={N}, L={L})"
+            )
+        residuals.append(residual)
+        scale[state.Q] = 1.0 / eigenvalue
+    kernel = _site_kernel(q)
+    flat, lead = _edge_classes(N, L)
+    # place of each spin row in the (leading spin, edge class) grid
+    spots = lead * N ** (L - 1) + flat
+    grid = np.argsort(spots)
+    split = np.exp(2j * np.pi / N) ** (np.outer(np.arange(N), np.arange(N)) % N) / N
+    mixing = N * split.conj().T @ (scale[:, None] * split)
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        image = _ring_pair(kernel, np.asarray(u).ravel(), N, L)
+        return (mixing @ image[grid].reshape(N, -1)).ravel()[spots]
+
+    where = f"(N={N}, L={L})"
+    size = N**L
+    if size <= 2:
+        dense = np.column_stack([apply(column) for column in np.eye(size)])
         values, vectors = scipy.linalg.eig(dense)
-        lead = vectors[:, np.argmax(np.abs(values))]
+        top = vectors[:, np.argmax(np.abs(values))]
     else:
         operator = scipy.sparse.linalg.LinearOperator(
-            (dim, dim), matvec=apply, dtype=complex
+            (size, size), matvec=apply, dtype=complex
         )
         try:
             _, vectors = scipy.sparse.linalg.eigs(
-                operator, k=1, which="LM",
-                ncv=min(dim, KRYLOV_VECTORS), v0=_start_vector(dim),
+                operator, k=1, which="LM", tol=DEGENERACY_RTOL * EIGENBASIS_TOL**0.5,
+                ncv=min(size, KRYLOV_VECTORS), v0=_start_vector(size),
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise DegenerateMaxEigenvalueError(
-                f"Arnoldi found no isolated dominant transfer eigenvalue {where}"
+                f"Arnoldi found no isolated dominant transfer eigenvalue over "
+                f"sectors {sectors} {where}"
             ) from exc
-        lead = vectors[:, 0]
-    return TransferCertificate(
-        eigen_residual=residual, dominance=_dominance(lead, ground, where)
-    )
+        top = vectors[:, 0]
+    components = split @ top[grid].reshape(N, -1)
+    dominance = {}
+    for state in sorted(states, key=lambda state: -np.linalg.norm(components[state.Q])):
+        dominance[state.Q] = _dominance(
+            components[state.Q], state.vector, f"in sector Q={state.Q} {where}"
+        )
+    return [
+        TransferCertificate(eigen_residual=residual, dominance=dominance[state.Q])
+        for state, residual in zip(states, residuals)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -829,16 +914,25 @@ def _check_translation_invariance(block: SectorMatrix) -> None:
     row translation S_Q of `_translation` to 1e-12 of its largest entry.
     S_Q is a permutation with unit phases, so S_Q X S_Q^H - X =
     (S_Q X - X S_Q) S_Q^H has the same entries up to order and phase, and
-    S_Q X S_Q^H is one index gather of X."""
+    S_Q X S_Q^H is one index gather of X, taken in row blocks of at most
+    2^18 entries (4 MiB) so that no dense copy of X is made."""
     N, L, Q = block.N, block.L, block.Q
     rows, phase = _translation(N, L, Q)
     mat = block.mat
-    deviation = mat[np.ix_(rows, rows)]
-    deviation *= phase[:, None]
-    deviation *= phase.conj()
-    deviation -= mat
-    worst = np.max(np.abs(deviation))
-    if not worst <= 1e-12 * np.max(np.abs(mat)):
+
+    def deviation(part: slice) -> float:
+        gathered = mat[np.ix_(rows[part], rows)]
+        gathered *= phase[part, None]
+        gathered *= phase.conj()
+        gathered -= mat[part]
+        return np.max(np.abs(gathered))
+
+    step = max(1, 2**18 // len(mat))
+    parts = [slice(start, start + step) for start in range(0, len(mat), step)]
+    # np.max of the block maxima keeps a NaN, so that the check fails
+    worst = np.max([deviation(part) for part in parts])
+    largest = np.max([np.max(np.abs(mat[part])) for part in parts])
+    if not worst <= 1e-12 * largest:
         raise IdentityViolationError(
             f"sector block breaks translation invariance by {worst:.3e} "
             f"in sector Q={Q} (N={N}, L={L})"
@@ -1021,14 +1115,16 @@ def certified_ground_states(
 
     Keys are counting charges; each state belongs to the Fourier block
     `transfer_block_of_charge(N, L, charge)`.  Only the named sectors are
-    solved.  The certificate uses the midpoint of the physical window.
+    solved, and one `certify_ground_states` run certifies them all at the
+    midpoint of the physical window.
     """
     q = physical_point(N, kp)
-    out = {}
-    for charge in charges:
-        state = ground_state(N, L, transfer_block_of_charge(N, L, charge), kp)
-        out[charge] = (state, certify_ground_state(state, q))
-    return out
+    states = {
+        charge: ground_state(N, L, transfer_block_of_charge(N, L, charge), kp)
+        for charge in charges
+    }
+    certificates = certify_ground_states(states.values(), q)
+    return dict(zip(states, zip(states.values(), certificates)))
 
 
 def ground_overlap(a: GroundState, b: GroundState) -> float:

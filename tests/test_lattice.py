@@ -31,6 +31,7 @@ from chiralpotts.lattice import (
     build_sector_transfer,
     certified_ground_states,
     certify_ground_state,
+    certify_ground_states,
     correlation_table,
     diagnostics,
     digit_rows,
@@ -630,6 +631,25 @@ def test_translation_check_survives_optimize_flag(run_optimized):
     run_optimized("test_lattice.py::test_translation_breaking_kernel_raises_typed_error")
 
 
+def test_translation_check_runs_in_row_blocks():
+    # dimension 1024 takes four blocks of 256 rows; a defect or a NaN in
+    # the last one must still fail, and no dense copy of X may be made
+    dim = 2**10
+    block = lattice.SectorMatrix(N=2, L=11, Q=0, kp=0.5, op=np.eye(dim, dtype=complex))
+    tracemalloc.start()
+    try:
+        lattice._check_translation_invariance(block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak  # the dense gather and its abs took 24 MiB
+    for defect in (1e-9, np.nan):
+        op = np.eye(dim, dtype=complex)
+        op[dim - 1, 3] = defect
+        with pytest.raises(IdentityViolationError, match="translation invariance"):
+            lattice._check_translation_invariance(dataclasses.replace(block, op=op))
+
+
 def test_singular_singleton_raises_typed_error():
     left = np.eye(3, dtype=complex)
     left[1] = [1.0, 0.0, 0.0]
@@ -745,6 +765,55 @@ def test_unphysical_branch_detected_by_the_sparse_route():
 
 def test_sparse_dominance_check_survives_optimize_flag(run_optimized):
     run_optimized("test_lattice.py::test_unphysical_branch_detected_by_the_sparse_route")
+
+
+def test_excited_state_fails_the_batch_certificate_in_its_sector():
+    # the second level of H_Q is a common eigenvector of H_Q and T That,
+    # but not the dominant one: it passes the eigen-residual and pulls
+    # the whole Arnoldi vector into its sector, leaving the others empty
+    kp = 0.5
+    for N, L in ((3, 4), (4, 4)):
+        q = physical_point(N, kp)
+        for Q in range(N):
+            states = [ground_state(N, L, P, kp) for P in range(N)]
+            _, levels = scipy.linalg.eigh(build_hamiltonian(N, L, Q, kp).mat)
+            states[Q] = dataclasses.replace(states[Q], vector=levels[:, 1])
+            with pytest.raises(EigenbasisMismatchError, match=rf"1 - \|cos\|.* Q={Q} "):
+                certify_ground_states(states, q)
+
+
+def test_excited_state_check_survives_optimize_flag(run_optimized):
+    run_optimized(
+        "test_lattice.py::test_excited_state_fails_the_batch_certificate_in_its_sector"
+    )
+
+
+def test_batch_certificate_of_two_sectors_matches_the_full_request():
+    kp = 0.5
+    full = certified_ground_states(4, 5, kp, range(4))
+    pair = certified_ground_states(4, 5, kp, (1, 3))
+    assert set(pair) == {1, 3}
+    for charge, (_, cert) in pair.items():
+        assert cert.eigen_residual == full[charge][1].eigen_residual
+        assert cert.dominance <= 1e-12
+
+
+def test_batch_certificate_rejects_repeated_sectors():
+    state = ground_state(2, 3, 0, 0.5)
+    with pytest.raises(ValueError, match="one state per sector"):
+        certify_ground_states([state, state], physical_point(2, 0.5))
+
+
+@pytest.mark.parametrize("N, L", [(2, 12), (3, 7)])
+def test_certified_ground_states_stay_within_the_memory_estimate(N, L):
+    certified_ground_states(N, 2, 0.5, range(N))  # imports and caches
+    tracemalloc.start()
+    try:
+        certified_ground_states(N, L, 0.5, range(N))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < lattice.sparse_bytes(N, L), peak
 
 
 # ---------------------------------------------------------------------------
