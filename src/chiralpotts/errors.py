@@ -44,7 +44,9 @@ class DegenerateMaxEigenvalueError(ChiralPottsError):
 
 class EigenbasisMismatchError(ChiralPottsError):
     """The dominant transfer eigenvector and the Hamiltonian ground state
-    of the same sector failed their proportionality check."""
+    of the same sector failed their proportionality check, or a transfer
+    block couples different levels of the chain Hamiltonian that it must
+    commute with."""
 
 
 class CountingInvariantError(ChiralPottsError):

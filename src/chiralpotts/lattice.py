@@ -24,11 +24,16 @@ contraction as the certificate, applied to one unit vector per edge
 class, and are Fourier-transformed over the leading spin into charge
 blocks T_Q.  The second factor is That_Q = S_Q T_Q, S_Q the row
 translation, so on row momentum m of an exact momentum basis the
-product is exp(2 pi i m / L) times the square of the projected T_Q: it
-is diagonalized densely one momentum at a time, with separate left and
-right eigenvector systems (L blocks of about N^(L-1)/L states instead
-of one of N^(L-1)), and each spectrum is kept in those blocks.  The
-finite-separation pair correlation is a sum over them.
+product is exp(2 pi i m / L) times the square of the projected T_Q (L
+blocks of about N^(L-1)/L states instead of one of N^(L-1)).  Each
+block is solved in the eigenbasis of the Hermitian chain block that
+commutes with it: one `eigh` of the chain block, then a general `eig`
+with left and right vectors only on each cluster of (near-)degenerate
+chain levels, after checking that the transfer block couples no two
+clusters.  The lowest chain level is the ground state that the
+dominant transfer vector must match, so this route runs no Lanczos.
+Each spectrum is kept in those blocks, and the finite-separation pair
+correlation is a sum over them.
 
 All arithmetic is float64/complex128; the observables compared against
 the high-precision route carry comfortably more headroom than the 1e-8
@@ -61,6 +66,12 @@ SPARSE_BYTES_CAP = 2**30
 CURVE_TOL = 1e-12
 SPIN_CHECK_DIM_CAP = 243
 DEGENERACY_RTOL = 1e-9
+# Chain levels closer than this fraction of the sector block's norm are
+# solved as one cluster, and a transfer block may couple different
+# clusters by at most TRANSFER_COUPLING_RTOL of its norm (derivation in
+# `_solve_in_hamiltonian_basis`).
+HAMILTONIAN_CLUSTER_RTOL = 1e-4
+TRANSFER_COUPLING_RTOL = 1e-10
 # Largest 1 - |cos| between the dominant transfer vector and the chain
 # ground state, and largest relative eigen-residual of the ground state
 # under the transfer operator.
@@ -275,8 +286,12 @@ def sparse_bytes(N: int, L: int) -> int:
     encoder's digit arrays (24 L), the lifted vector (16), the
     auxiliary-spin work tensor (32 N) and the charge mixing's two index
     arrays and two gathered copies (48); 663 to 733 bytes per spin row
-    measured at (2,12), (3,9), (4,7) and (5,5).  Python integers, so a
-    request far past the cap is refused without allocating anything.
+    measured at (2,12), (3,9), (4,7) and (5,5).  At small N^L, where
+    fixed costs dominate, the estimate runs slightly low: a whole oracle
+    request at (4,5) peaked at 763 KB (tracemalloc) against 713 KB.  The
+    cap binds only far above those sizes, so no request past it is
+    admitted.  Python integers, so a request far past the cap is refused
+    without allocating anything.
     """
     dim = N ** (L - 1)
     nonzeros = dim * ((N - 1) * L + 1)
@@ -696,8 +711,17 @@ def sector_product_operator(
     if not 0 <= Q < N:
         raise ValueError(f"sector index Q={Q} outside [0, {N})")
     _check_sparse_bytes(N, L)
-    kernel = _site_kernel(q)
-    flat, lead = _edge_classes(N, L)
+    return _sector_product(_site_kernel(q), _edge_classes(N, L), L, Q)
+
+
+def _sector_product(
+    kernel: np.ndarray, classes: tuple[np.ndarray, np.ndarray], L: int, Q: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """`sector_product_operator` from the site kernel of `_site_kernel`
+    and the spin-row encoding of `_edge_classes`, which every sector of
+    one rapidity and width shares."""
+    N = len(kernel)
+    flat, lead = classes
     phases = np.exp(2j * np.pi / N) ** (-(lead * Q) % N)
     rows = np.flatnonzero(lead == 0)
     dim = N ** (L - 1)
@@ -754,9 +778,11 @@ def certify_ground_states(states, q: RapidityPoint) -> list[TransferCertificate]
     of `states`, whose sectors must be distinct.
 
     First each g_Q must be an eigenvector: lam_Q = <g_Q, T_Q That_Q g_Q>
-    and the eigen-residual come from `sector_product_operator`.  The
-    residual alone does not suffice: off the physical window g is still
-    an eigenvector of the transfer product, just not its dominant one.
+    and the eigen-residual come from `sector_product_operator`, with the
+    site kernel and the spin-row encoding made once for all sectors.
+    The residual alone does not suffice: off the physical window g is
+    still an eigenvector of the transfer product, just not its dominant
+    one.
 
     Dominance is tested on the spin space, the direct sum of the N charge
     sectors, where T That is block-diagonal (`_ring_pair`).  The operator
@@ -786,8 +812,8 @@ def certify_ground_states(states, q: RapidityPoint) -> list[TransferCertificate]
     N^L - 1) M is applied to the identity and solved densely.
 
     Raises:
-        ValueError: states of another rank or width than the first, or
-            two states of one sector.
+        ValueError: states of another rank or width than the first, a
+            sector outside [0, N), or two states of one sector.
         EigenbasisMismatchError: residual or 1 - |cos| above EIGENBASIS_TOL.
         DegenerateMaxEigenvalueError: Arnoldi did not converge.
     """
@@ -799,13 +825,16 @@ def certify_ground_states(states, q: RapidityPoint) -> list[TransferCertificate]
     N, L = q.N, states[0].L
     sectors = [state.Q for state in states]
     if len(set(sectors)) < len(sectors) or any(
-        (state.N, state.L) != (N, L) for state in states
+        (state.N, state.L) != (N, L) or not 0 <= state.Q < N for state in states
     ):
         raise ValueError(f"need one state per sector at N={N}, L={L}, got {sectors}")
+    _check_sparse_bytes(N, L)
+    kernel = _site_kernel(q)
+    flat, lead = classes = _edge_classes(N, L)
     residuals, scale = [], np.zeros(N, dtype=complex)
     for state in states:
         ground = state.vector
-        image = sector_product_operator(q, L, state.Q)(ground)
+        image = _sector_product(kernel, classes, L, state.Q)(ground)
         eigenvalue = complex(np.vdot(ground, image))
         residual = float(np.linalg.norm(image - eigenvalue * ground) / abs(eigenvalue))
         if not residual <= EIGENBASIS_TOL:
@@ -815,8 +844,6 @@ def certify_ground_states(states, q: RapidityPoint) -> list[TransferCertificate]
             )
         residuals.append(residual)
         scale[state.Q] = 1.0 / eigenvalue
-    kernel = _site_kernel(q)
-    flat, lead = _edge_classes(N, L)
     # place of each spin row in the (leading spin, edge class) grid
     spots = lead * N ** (L - 1) + flat
     grid = np.argsort(spots)
@@ -1027,41 +1054,107 @@ def _by_modulus(values: np.ndarray) -> np.ndarray:
     return np.lexsort((np.angle(values), -np.abs(values)))
 
 
+def _solve_in_hamiltonian_basis(
+    transfer: np.ndarray, hamiltonian: np.ndarray, norm: float, where: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
+    """Eigensystem of one momentum block B of T_Q, solved in the
+    eigenbasis of the Hermitian block H of the chain Hamiltonian, which
+    commutes with it: mu, the right and left eigenvectors as columns (B
+    right = right diag(mu), left^H B = diag(mu) left^H), and the lowest
+    level of H with its eigenvector.
+
+    With H = V diag(E) V^H from `eigh`, C = V^H B V obeys C_ij (E_j -
+    E_i) = 0, so B couples only levels of equal E.  Sorted levels less
+    than HAMILTONIAN_CLUSTER_RTOL norm apart form one cluster, norm
+    being the largest absolute row sum of the whole sector's H_Q, which
+    bounds ||H|| (a block whose levels all lie near 0 must not shrink
+    the scale).  `eig` solves C on each cluster of two or more levels; a
+    singleton i is an eigenvector by itself, with mu = C_ii and left =
+    right.  No eigenvalue of B is lost by merging levels that are not
+    degenerate, so the rule may merge too many, never too few.
+
+    The rule follows from the coupling bound.  `eigh` is backward
+    stable, so V diagonalizes H up to a perturbation of order eps ||H||
+    (eps = 2.2e-16), and the built B and H commute up to rounding of
+    order eps ||B|| ||H||.  So (E_j - E_i) C_ij is about 3 eps ||B||
+    ||H|| at most, and between levels at least tau ||H|| apart (tau =
+    HAMILTONIAN_CLUSTER_RTOL = 1e-4) |C_ij| is about 3 eps ||B|| / tau
+    = 6.7e-12 ||B|| at most: fifteen times below the bound
+    TRANSFER_COUPLING_RTOL ||C||_F, as ||B|| <= ||C||_F, the Frobenius
+    norm.  A B that does not commute with H, such as a transfer block
+    at another modulus, couples levels at order ||B||.  Any coupling
+    between two clusters above the bound, or a NaN, raises
+    EigenbasisMismatchError.
+    """
+    # divide and conquer (zheevd): about 30% faster than the default here
+    levels, vectors = scipy.linalg.eigh(hamiltonian, driver="evd")
+    rotated = vectors.conj().T @ transfer @ vectors
+    apart = np.diff(levels) > HAMILTONIAN_CLUSTER_RTOL * norm
+    cluster = np.concatenate(([0], np.cumsum(apart)))
+    coupling = np.max(np.abs(rotated[cluster[:, None] != cluster[None, :]]), initial=0.0)
+    size = np.linalg.norm(rotated)
+    if not coupling <= TRANSFER_COUPLING_RTOL * size:
+        raise EigenbasisMismatchError(
+            f"transfer block couples levels of the chain Hamiltonian by "
+            f"{coupling:.3e} against its norm {size:.3e} {where}"
+        )
+    mu = np.diagonal(rotated).copy()
+    right, left = vectors.copy(), vectors.copy()
+    starts = np.flatnonzero(np.concatenate(([True], apart)))
+    for start, stop in zip(starts, np.append(starts[1:], len(levels))):
+        if stop - start > 1:
+            part = slice(start, stop)
+            mu[part], vl, vr = scipy.linalg.eig(rotated[part, part], left=True, right=True)
+            right[:, part] = vectors[:, part] @ vr
+            left[:, part] = vectors[:, part] @ vl
+    return mu, right, left, float(levels[0]), vectors[:, 0]
+
+
 def sector_spectrum(block: SectorMatrix) -> SectorSpectrum:
     """Full biorthogonal spectrum of the two-row evolution operator
     T_Q That_Q of one sector, from T_Q = block.mat.  The dominant right
     eigenvector is checked to be proportional to the ground state of the
-    sector Hamiltonian at the same modulus (from `ground_state`), which
-    is the shared-eigenbasis property everything downstream relies on.
+    sector Hamiltonian at the same modulus, which is the shared-eigenbasis
+    property everything downstream relies on.
 
     T_Q is checked to commute with the row translation S_Q, and That_Q =
     S_Q T_Q (`build_sector_transfer`); on the momentum block m of
     `_momentum_basis`, where S_Q is exp(2 pi i m / L), the operator is
-    therefore exp(2 pi i m / L) B_m^2 with B_m = U_m^H T_Q U_m.  Each B_m
-    is diagonalized on its own, and biorthonormalized block by block.
+    therefore exp(2 pi i m / L) B_m^2 with B_m = U_m^H T_Q U_m.  The
+    chain block H_Q of `build_hamiltonian` commutes with S_Q too, and
+    with T_Q; each B_m is diagonalized in the eigenbasis of H_m =
+    U_m^H H_Q U_m (`_solve_in_hamiltonian_basis`), and biorthonormalized
+    block by block.  The chain ground state is the lowest level of the
+    H_m over all blocks.
 
     Raises:
         IdentityViolationError: T_Q breaks translation invariance.
+        EigenbasisMismatchError: T_Q couples different levels of H_Q, or
+            the dominant vector is not the chain ground state.
         DegenerateMaxEigenvalueError: top two eigenvalue moduli coincide.
         OrthogonalityViolationError: biorthonormalization failed.
-        EigenbasisMismatchError: dominant vector not the chain ground state.
     """
     _check_translation_invariance(block)
+    where = f"in sector Q={block.Q} (N={block.N}, L={block.L})"
     basis, offsets = _momentum_basis(block.N, block.L, block.Q)
     adjoint = basis.conj().T.tocsr()
-    starts, solved = [], []
+    chain = build_hamiltonian(block.N, block.L, block.Q, block.kp).op
+    norm = float(abs(chain).sum(axis=1).max())
+    starts, solved, grounds = [], [], []
     for m, (start, stop) in enumerate(zip(offsets[:-1], offsets[1:])):
         if start == stop:
             continue
-        projected = (adjoint[start:stop] @ block.mat) @ basis[:, start:stop]
-        mu, vl, vr = scipy.linalg.eig(projected, left=True, right=True)
+        rows, columns = adjoint[start:stop], basis[:, start:stop]
+        projected = (rows @ block.mat) @ columns
+        ham = (rows @ chain @ columns).toarray()
+        mu, vr, vl, level, vector = _solve_in_hamiltonian_basis(projected, ham, norm, where)
+        grounds.append((level, columns @ vector))
         phase = np.exp(2j * np.pi * m / block.L)
         order = _by_modulus(phase * mu**2)
         starts.append(start)
         solved.append((phase * mu[order] ** 2, phase, projected, vl[:, order], vr[:, order]))
     values = np.concatenate([entry[0] for entry in solved])
     values = values[_by_modulus(values)]
-    where = f"in sector Q={block.Q} (N={block.N}, L={block.L})"
     if len(values) > 1:
         top, second = abs(values[0]), abs(values[1])
         if top - second <= DEGENERACY_RTOL * top:
@@ -1076,7 +1169,7 @@ def sector_spectrum(block: SectorMatrix) -> SectorSpectrum:
         left.append(block_left)
         biorth = max(biorth, residual)
         # each mu again as its biorthogonal Rayleigh quotient, whose error
-        # is second order in the vectors' (eig's mu is off by up to 1e-14)
+        # is second order in the vectors' (the solved mu is off by up to 1e-14)
         refined.append(phase * np.sum(block_left * (projected @ vr).T, axis=1) ** 2)
     if not biorth <= 1e-8:
         raise OrthogonalityViolationError(
@@ -1089,7 +1182,7 @@ def sector_spectrum(block: SectorMatrix) -> SectorSpectrum:
         basis=basis, starts=np.array(starts), right=tuple(right), left=tuple(left),
         order=order, biorth_residual=biorth,
     )
-    ground = ground_state(block.N, block.L, block.Q, block.kp).vector
+    ground = min(grounds, key=lambda entry: entry[0])[1]
     _dominance(spectrum.dominant()[0], ground, where)
     return spectrum
 

@@ -1,4 +1,11 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and the BLAS thread count.
+
+pytest loads this file before it imports any test module, so numpy has
+not loaded yet: unless THREADS or one of the BLAS variables below is
+set, BLAS runs on one thread, in this process and in the subprocesses
+the tests start.  The lattice tests multiply many small matrices, which
+the default thread pool stalls (see THREADS in the README).
+"""
 
 import os
 import subprocess
@@ -6,6 +13,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(os.environ.get(name) for name in ("THREADS", *BLAS_THREAD_VARIABLES)):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
 
 TESTS = Path(__file__).resolve().parent
 

@@ -542,6 +542,22 @@ def test_correlate_json_table_and_limit(runner):
     assert float(report["final_deviation"]) < 1e-8
 
 
+def test_correlate_runs_no_arpack(runner, monkeypatch):
+    # each chain ground state is the lowest level of the dense momentum
+    # blocks that the spectrum is solved in
+    import scipy.sparse.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ARPACK was called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", refuse)
+    result = runner.invoke(cli.main, [
+        "correlate", "--N", "3", "--L", "4", "--kp", "0.5", "--r", "1",
+    ])
+    assert result.exit_code == 0, result.output
+
+
 def test_correlate_csv_dumps_spectra(runner):
     result = runner.invoke(cli.main, [
         "correlate", "--N", "2", "--L", "3", "--kp", "0.5", "--r", "1",

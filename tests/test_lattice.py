@@ -555,7 +555,10 @@ def _whole_block_spectrum(block, pair):
     )
 
 
-@pytest.mark.parametrize("N, L", [(2, 1), (2, 2), (3, 2), (3, 4), (2, 6), (4, 4), (2, 9)])
+# (3,6) and (4,5) solve clusters of up to 12 chain levels with one eig each
+@pytest.mark.parametrize(
+    "N, L", [(2, 1), (2, 2), (3, 2), (3, 4), (2, 6), (4, 4), (2, 9), (3, 6), (4, 5)]
+)
 def test_momentum_blocks_equal_the_whole_block_route(N, L):
     kp = 0.5
     q = physical_point(N, kp)
@@ -603,7 +606,8 @@ def test_momentum_basis_diagonalizes_the_row_translation(N, L):
         assert np.max(np.abs(shift @ u - u * np.exp(2j * np.pi * momenta / L))) < 1e-14
         # a column spans one orbit; those of period d < L take part too
         assert L == 1 or np.min(np.diff(basis.indptr)) < L
-        for block in build_sector_transfer(q, L, Q):
+        # the chain block too: the spectra are solved in its momentum blocks
+        for block in (*build_sector_transfer(q, L, Q), build_hamiltonian(N, L, Q, 0.5)):
             assert relative_commutator(block.mat, shift) < 1e-14
 
 
@@ -629,6 +633,18 @@ def test_translation_breaking_kernel_raises_typed_error(monkeypatch):
 
 def test_translation_check_survives_optimize_flag(run_optimized):
     run_optimized("test_lattice.py::test_translation_breaking_kernel_raises_typed_error")
+
+
+def test_transfer_block_at_another_modulus_raises_typed_error():
+    # the chain block at k' = 0.6 does not commute with T_Q built at 0.5,
+    # so in its eigenbasis T_Q couples different levels
+    t_block, _ = build_sector_transfer(physical_point(3, 0.5), 4, 1)
+    with pytest.raises(EigenbasisMismatchError, match="couples levels"):
+        sector_spectrum(dataclasses.replace(t_block, kp=0.6))
+
+
+def test_coupling_check_survives_optimize_flag(run_optimized):
+    run_optimized("test_lattice.py::test_transfer_block_at_another_modulus_raises_typed_error")
 
 
 def test_translation_check_runs_in_row_blocks():
