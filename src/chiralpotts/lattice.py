@@ -18,6 +18,11 @@ ground state's eigenvalue, and the run has to land in the span of the
 ground states.  This route is capped by memory, not by the dense
 dimension cap.
 
+Both routes pass between the spin basis and the charge sectors the same
+way: one cached permutation puts the spin rows in (leading spin, edge
+class) order (`_spin_grid`), and one N x N Fourier matrix over the
+leading spin (`_fourier`) separates or recombines the sectors.
+
 The correlation route needs the whole spectrum.  The dense layers of
 the row transfer matrix T come from the same site-local ring
 contraction as the certificate, applied to one unit vector per edge
@@ -30,10 +35,12 @@ block is solved in the eigenbasis of the Hermitian chain block that
 commutes with it: one `eigh` of the chain block, then a general `eig`
 with left and right vectors only on each cluster of (near-)degenerate
 chain levels, after checking that the transfer block couples no two
-clusters.  The lowest chain level is the ground state that the
-dominant transfer vector must match, so this route runs no Lanczos.
-Each spectrum is kept in those blocks, and the finite-separation pair
-correlation is a sum over them.
+clusters.  A single level is its own biorthonormal pair; a cluster's
+left vectors are biorthonormalized by one small solve, and its levels
+taken as biorthogonal Rayleigh quotients.  The lowest chain level is
+the ground state that the dominant transfer vector must match, so this
+route runs no Lanczos.  Each spectrum is kept in those blocks, and the
+finite-separation pair correlation is a sum over them.
 
 All arithmetic is float64/complex128; the observables compared against
 the high-precision route carry comfortably more headroom than the 1e-8
@@ -283,12 +290,13 @@ def sparse_bytes(N: int, L: int) -> int:
     (24 per nonzero) and the Krylov basis (16 (KRYLOV_VECTORS + 4) per
     state); the certificate runs Arnoldi over the spin space, so per spin
     row of N^L it holds a Krylov basis (16 (KRYLOV_VECTORS + 4)), the
-    encoder's digit arrays (24 L), the lifted vector (16), the
-    auxiliary-spin work tensor (32 N) and the charge mixing's two index
-    arrays and two gathered copies (48); 663 to 733 bytes per spin row
-    measured at (2,12), (3,9), (4,7) and (5,5).  At small N^L, where
-    fixed costs dominate, the estimate runs slightly low: a whole oracle
-    request at (4,5) peaked at 763 KB (tracemalloc) against 713 KB.  The
+    auxiliary-spin work tensor (32 N), the cached 8-byte permutation of
+    `_spin_grid`, the lifted vector (16) and the charge mixing's two
+    gathered copies (32), for which the estimate allows 24 L + 64 bytes;
+    552, 575, 622 and 677 bytes per spin row measured (tracemalloc) at
+    (2,12), (3,9), (4,7) and (5,5), against 800, 760, 744 and 728.  At
+    small N^L, where fixed costs dominate, the margin vanishes: a whole
+    oracle request at (4,5) peaked at 712.6 KB against 712.7 KB.  The
     cap binds only far above those sizes, so no request past it is
     admitted.  Python integers, so a request far past the cap is refused
     without allocating anything.
@@ -335,12 +343,28 @@ def edge_index(N: int, config: np.ndarray) -> int | np.ndarray:
     return int(flat) if np.ndim(flat) == 0 else flat
 
 
-def _edge_classes(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per spin row of `digit_rows(N, L)`, the flat index of its edge
-    configuration (adjacent spin differences) and its leading spin."""
-    spins = digit_rows(N, L)
-    edges = (spins - np.roll(spins, -1, axis=1)) % N
-    return edge_index(N, edges), spins[:, 0]
+@functools.lru_cache(maxsize=1)
+def _spin_grid(N: int, L: int) -> np.ndarray:
+    """The spin rows of `digit_rows(N, L)` in (leading spin, edge class)
+    order: entry m N^(L-1) + i is the row with sigma_1 = m whose edges
+    sigma_j - sigma_(j+1) have the flat index i of `edge_index`.  So
+    u[grid].reshape(N, N^(L-1)) splits a spin vector by leading spin,
+    and its first N^(L-1) entries are the sigma_1 = 0 rows, one per edge
+    class.  Read-only, kept for the latest (N, L)."""
+    lead, edges = np.divmod(np.arange(N**L), N ** (L - 1))
+    spins, grid = lead, lead.copy()
+    for j in range(1, L):
+        edges, edge = np.divmod(edges, N)
+        spins = (spins - edge) % N
+        grid += spins * N**j
+    grid.flags.writeable = False
+    return grid
+
+
+def _fourier(N: int) -> np.ndarray:
+    """F[Q, m] = omega^(Q m) with omega = exp(2 pi i / N); the exponent is
+    reduced mod N, so row -Q mod N holds the phases omega^(-Q m)."""
+    return np.exp(2j * np.pi / N) ** (np.outer(np.arange(N), np.arange(N)) % N)
 
 
 def _translation(N: int, L: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -405,38 +429,38 @@ def _transfer_blocks(q: RapidityPoint, L: int) -> np.ndarray:
     edge class j and leading spin m to a bra row of edge class i and
     leading spin 0.  The ring of `_ring_apply` maps the unit vector of
     the sigma_1 = 0 row of class j to column j of T; by shift invariance
-    its row of class i and leading spin -m is entry [m, i, j].  Columns
-    go N^(L-4) at a time, and at least N, so the ring's work tensor
-    (N^(L+1) numbers per column) stays within one layer from L = 4 on;
-    each batch is Fourier-transformed over m in place.  The read-only
-    blocks of the latest rapidity and width are kept and shared by its
-    sectors.  For spin dimensions up to SPIN_CHECK_DIM_CAP the identity
-    (T That)_Q = T_Q S_Q T_Q (`build_sector_transfer`) is verified in
-    every sector against one spin-basis product (CurveMismatchError
-    otherwise); larger builds rely on the same check at small sizes.
+    its row of class i and leading spin m' = -m is entry [m, i, j], so
+    block Q sums the rows of leading spin m' with phase omega^(Q m'): one
+    gather by `_spin_grid` and one product with `_fourier` per batch.
+    Columns go N^(L-4) at a time, and at least N, so the ring's work
+    tensor (N^(L+1) numbers per column) stays within one layer from L = 4
+    on.  The read-only blocks of the latest rapidity and width are kept
+    and shared by its sectors.  For spin dimensions up to
+    SPIN_CHECK_DIM_CAP the identity (T That)_Q = T_Q S_Q T_Q
+    (`build_sector_transfer`) is verified in every sector against one
+    spin-basis product (CurveMismatchError otherwise); larger builds rely
+    on the same check at small sizes.
     """
     N = q.N
     dim = edge_dim(N, L)
     kernel = _site_kernel(q)
-    flat, lead = _edge_classes(N, L)
-    zero = np.flatnonzero(lead == 0)
-    kets = zero[np.argsort(flat[zero])]
-    # row of each image entry in the layers stacked as (N dim, dim)
-    dest = (-lead % N) * dim + flat
-    dft = np.exp(2j * np.pi / N) ** (-np.outer(np.arange(N), np.arange(N)) % N)
+    grid = _spin_grid(N, L)
+    fourier = _fourier(N)
     blocks = np.empty((N, dim, dim), dtype=complex)
     batch = N ** max(L - 4, 1)
     for start in range(0, dim, batch):
         cols = slice(start, start + batch)
-        units = np.zeros((N**L, len(kets[cols])), dtype=complex)
-        units[kets[cols], np.arange(units.shape[1])] = 1.0
-        blocks.reshape(N * dim, dim)[dest, cols] = _ring_apply(kernel, units, N, L)
-        blocks[:, :, cols] = np.tensordot(dft, blocks[:, :, cols], axes=1)
+        kets = grid[:dim][cols]
+        units = np.zeros((N**L, len(kets)), dtype=complex)
+        units[kets, np.arange(len(kets))] = 1.0
+        image = _ring_apply(kernel, units, N, L)[grid].reshape(N, dim, -1)
+        blocks[:, :, cols] = np.tensordot(fourier, image, axes=1)
     if N**L <= SPIN_CHECK_DIM_CAP:
         t_spin, t_hat_spin = spin_transfer(q, L)
-        product = t_spin @ t_hat_spin
+        # bra rows of leading spin 0 against ket rows by (leading spin, class)
+        product = (t_spin @ t_hat_spin)[grid[:dim]][:, grid].reshape(dim, N, dim)
         for Q in range(N):
-            target = _sector_of_spin_product(product, N, L, Q)
+            target = np.tensordot(product, fourier[-Q % N], axes=([1], [0]))
             rows, phase = _translation(N, L, Q)
             got = blocks[Q] @ (phase[:, None] * blocks[Q][rows])
             residual = np.max(np.abs(got - target)) / max(1.0, np.max(np.abs(target)))
@@ -473,19 +497,6 @@ def spin_transfer(q: RapidityPoint, L: int) -> tuple[np.ndarray, np.ndarray]:
         diff_right = (spins - np.roll(sig_bra, -1)) % N
         t_hat[row, :] = (wbar[diff] * w[diff_right]).prod(axis=1)
     return t, t_hat
-
-
-def _sector_of_spin_product(product: np.ndarray, N: int, L: int, Q: int) -> np.ndarray:
-    """Extract charge block Q from a spin-basis row-operator product."""
-    flat, lead = _edge_classes(N, L)
-    dim = N ** (L - 1)
-    # Spin rows with sigma'_1 = 0 represent each bra edge class exactly once;
-    # down the columns the shift is then m = sigma_1 directly.
-    rows = np.flatnonzero(lead == 0)
-    phases = np.exp(2j * np.pi / N) ** (-(lead * Q) % N)
-    block = np.empty((dim, dim), dtype=complex)
-    block[flat[rows]] = (product[rows] * phases) @ (flat[:, None] == np.arange(dim))
-    return block
 
 
 def build_sector_transfer(
@@ -699,9 +710,9 @@ def sector_product_operator(
     """Matrix-free charge-Q block of T That: v -> T_Q That_Q v.
 
     A sector vector is lifted to the spin basis with phases
-    omega^(-Q sigma_1), `_ring_pair` applies both operators there, and
-    the rows with sigma_1 = 0, one per edge class, are read back, as in
-    the sector check of `_transfer_blocks`.
+    omega^(-Q sigma_1) by `_spin_grid`, `_ring_pair` applies both
+    operators there, and the rows with sigma_1 = 0, one per edge class,
+    are read back, as in the sector check of `_transfer_blocks`.
 
     Raises:
         SizeGuardError: the sparse route's estimated bytes above the cap.
@@ -711,27 +722,17 @@ def sector_product_operator(
     if not 0 <= Q < N:
         raise ValueError(f"sector index Q={Q} outside [0, {N})")
     _check_sparse_bytes(N, L)
-    return _sector_product(_site_kernel(q), _edge_classes(N, L), L, Q)
-
-
-def _sector_product(
-    kernel: np.ndarray, classes: tuple[np.ndarray, np.ndarray], L: int, Q: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """`sector_product_operator` from the site kernel of `_site_kernel`
-    and the spin-row encoding of `_edge_classes`, which every sector of
-    one rapidity and width shares."""
-    N = len(kernel)
-    flat, lead = classes
-    phases = np.exp(2j * np.pi / N) ** (-(lead * Q) % N)
-    rows = np.flatnonzero(lead == 0)
+    kernel = _site_kernel(q)
+    grid = _spin_grid(N, L)
+    phase = _fourier(N)[-Q % N, :, None]
     dim = N ** (L - 1)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        lifted = np.asarray(v).ravel()[flat] * phases
-        image = _ring_pair(kernel, lifted, N, L)
-        out = np.empty(dim, dtype=complex)
-        out[flat[rows]] = image[rows]
-        return out
+        lifted = np.empty(N**L, dtype=complex)
+        # v times phase, in this order: under FMA the reverse order moves
+        # the eigen-residuals in their last digit
+        lifted[grid] = (np.asarray(v).ravel() * phase).ravel()
+        return _ring_pair(kernel, lifted, N, L)[grid[:dim]]
 
     return apply
 
@@ -766,40 +767,32 @@ def _dominance(lead: np.ndarray, ground: np.ndarray, where: str) -> float:
     return max(0.0, dominance)
 
 
-def certify_ground_state(state: GroundState, q: RapidityPoint) -> TransferCertificate:
-    """Check that g is the dominant eigenvector of T_Q That_Q at rapidity q:
-    `certify_ground_states` for one state."""
-    return certify_ground_states([state], q)[0]
-
-
 def certify_ground_states(states, q: RapidityPoint) -> list[TransferCertificate]:
     """Check that each g_Q is the dominant eigenvector of T_Q That_Q at
     rapidity q, all sectors in one Arnoldi run; certificates in the order
     of `states`, whose sectors must be distinct.
 
     First each g_Q must be an eigenvector: lam_Q = <g_Q, T_Q That_Q g_Q>
-    and the eigen-residual come from `sector_product_operator`, with the
-    site kernel and the spin-row encoding made once for all sectors.
-    The residual alone does not suffice: off the physical window g is
-    still an eigenvector of the transfer product, just not its dominant
-    one.
+    and the eigen-residual come from `sector_product_operator`.  The
+    residual alone does not suffice: off the physical window g is still
+    an eigenvector of the transfer product, just not its dominant one.
 
     Dominance is tested on the spin space, the direct sum of the N charge
     sectors, where T That is block-diagonal (`_ring_pair`).  The operator
     M is T That followed by a charge mixing that scales the charge-Q
     component by 1/lam_Q for each named Q and drops the unnamed ones:
-    the spin rows are gathered by (leading spin, edge class) from
-    `_edge_classes`, mixed by one N x N matrix (lift diag(c) split), and
-    scattered back.  Every g_Q is dominant in its sector exactly when the
-    dominant eigenvalue of M is 1 with its eigenvectors in the span of
-    the lifted g_Q.  So ARPACK's Arnoldi iteration (`eigs`, largest
-    modulus) runs once from a fixed random spin vector, never from the
-    g_Q, whose span is invariant and would be returned untested, and
-    each named charge component of the vector it returns must be
-    parallel to g_Q (`_dominance`).  The sectors are checked by
-    decreasing share of that vector, so a failure names the sector that
-    holds most of it: an excited g_Q pulls the whole vector into sector
-    Q and leaves the other components empty.
+    the spin rows are gathered by (leading spin, edge class) with
+    `_spin_grid`, mixed by one N x N matrix (lift diag(c) split, split
+    being `_fourier` / N), and scattered back.  Every g_Q is dominant in
+    its sector exactly when the dominant eigenvalue of M is 1 with its
+    eigenvectors in the span of the lifted g_Q.  So ARPACK's Arnoldi
+    iteration (`eigs`, largest modulus) runs once from a fixed random
+    spin vector, never from the g_Q, whose span is invariant and would
+    be returned untested, and each named charge component of the vector
+    it returns must be parallel to g_Q (`_dominance`).  The sectors are
+    checked by decreasing share of that vector, so a failure names the
+    sector that holds most of it: an excited g_Q pulls the whole vector
+    into sector Q and leaves the other components empty.
 
     ARPACK stops once a Ritz residual is at most tol |theta|.  At tol = 0
     it would stall on the cluster of N scaled copies of 1, which agree
@@ -829,12 +822,10 @@ def certify_ground_states(states, q: RapidityPoint) -> list[TransferCertificate]
     ):
         raise ValueError(f"need one state per sector at N={N}, L={L}, got {sectors}")
     _check_sparse_bytes(N, L)
-    kernel = _site_kernel(q)
-    flat, lead = classes = _edge_classes(N, L)
     residuals, scale = [], np.zeros(N, dtype=complex)
     for state in states:
         ground = state.vector
-        image = _sector_product(kernel, classes, L, state.Q)(ground)
+        image = sector_product_operator(q, L, state.Q)(ground)
         eigenvalue = complex(np.vdot(ground, image))
         residual = float(np.linalg.norm(image - eigenvalue * ground) / abs(eigenvalue))
         if not residual <= EIGENBASIS_TOL:
@@ -844,15 +835,15 @@ def certify_ground_states(states, q: RapidityPoint) -> list[TransferCertificate]
             )
         residuals.append(residual)
         scale[state.Q] = 1.0 / eigenvalue
-    # place of each spin row in the (leading spin, edge class) grid
-    spots = lead * N ** (L - 1) + flat
-    grid = np.argsort(spots)
-    split = np.exp(2j * np.pi / N) ** (np.outer(np.arange(N), np.arange(N)) % N) / N
+    kernel = _site_kernel(q)
+    grid = _spin_grid(N, L)
+    split = _fourier(N) / N
     mixing = N * split.conj().T @ (scale[:, None] * split)
 
     def apply(u: np.ndarray) -> np.ndarray:
         image = _ring_pair(kernel, np.asarray(u).ravel(), N, L)
-        return (mixing @ image[grid].reshape(N, -1)).ravel()[spots]
+        image[grid] = (mixing @ image[grid].reshape(N, -1)).ravel()
+        return image
 
     where = f"(N={N}, L={L})"
     size = N**L
@@ -1012,43 +1003,6 @@ def _momentum_basis(N: int, L: int, Q: int) -> tuple[object, np.ndarray]:
     return basis, np.searchsorted(columns // dim, np.arange(L + 1))
 
 
-def _biorthonormalize(
-    values: np.ndarray, right: np.ndarray, left: np.ndarray, scale: float
-) -> tuple[np.ndarray, float]:
-    """Rescale left rows so left @ right = identity, cluster-aware.
-
-    Eigenvalues within 1e-9 scale of their sorted neighbour form a
-    cluster.  Exactly degenerate eigenvalues arrive as such clusters
-    after sorting; each is fixed by one small linear solve so the
-    completeness sum works even through the degenerate excited levels
-    this model has.  Singletons are rescaled together.
-    """
-    dim = len(values)
-    apart = np.abs(np.diff(values)) > 1e-9 * scale
-    starts = np.flatnonzero(np.concatenate(([True], apart)))
-    stops = np.append(starts[1:], dim)
-    sizes = stops - starts
-    single = starts[sizes == 1]
-    gram = np.sum(left[single] * right[:, single].T, axis=1)
-    if not np.all(gram):
-        raise OrthogonalityViolationError(
-            "singular biorthogonal cluster of size 1 at eigenvalue "
-            f"{values[single[gram == 0][0]]:.6e}"
-        )
-    left[single] /= gram[:, None]
-    for start, stop in zip(starts[sizes > 1], stops[sizes > 1]):
-        gram = left[start:stop] @ right[:, start:stop]
-        try:
-            left[start:stop] = np.linalg.solve(gram, left[start:stop])
-        except np.linalg.LinAlgError as exc:
-            raise OrthogonalityViolationError(
-                f"singular biorthogonal cluster of size {stop - start} "
-                f"at eigenvalue {values[start]:.6e}"
-            ) from exc
-    residual = float(np.max(np.abs(left @ right - np.eye(dim))))
-    return left, residual
-
-
 def _by_modulus(values: np.ndarray) -> np.ndarray:
     """Order of eigenvalues by modulus descending, then by angle."""
     return np.lexsort((np.angle(values), -np.abs(values)))
@@ -1059,19 +1013,26 @@ def _solve_in_hamiltonian_basis(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
     """Eigensystem of one momentum block B of T_Q, solved in the
     eigenbasis of the Hermitian block H of the chain Hamiltonian, which
-    commutes with it: mu, the right and left eigenvectors as columns (B
-    right = right diag(mu), left^H B = diag(mu) left^H), and the lowest
-    level of H with its eigenvector.
+    commutes with it: mu, the right eigenvectors as columns and the
+    biorthonormal left eigenvectors as rows (B right = right diag(mu),
+    left B = diag(mu) left, left right = identity), and the lowest level
+    of H with its eigenvector.
 
     With H = V diag(E) V^H from `eigh`, C = V^H B V obeys C_ij (E_j -
     E_i) = 0, so B couples only levels of equal E.  Sorted levels less
     than HAMILTONIAN_CLUSTER_RTOL norm apart form one cluster, norm
     being the largest absolute row sum of the whole sector's H_Q, which
     bounds ||H|| (a block whose levels all lie near 0 must not shrink
-    the scale).  `eig` solves C on each cluster of two or more levels; a
-    singleton i is an eigenvector by itself, with mu = C_ii and left =
-    right.  No eigenvalue of B is lost by merging levels that are not
-    degenerate, so the rule may merge too many, never too few.
+    the scale).  A singleton i is an eigenvector by itself, with mu =
+    C_ii, right V_i and left V_i^H, biorthonormal as V is unitary.  On
+    each cluster of two or more levels `eig` solves C with left and
+    right vectors vl and vr; the left rows solve (vl^H vr) left = vl^H,
+    and each mu is its biorthogonal Rayleigh quotient on the cluster's
+    block of C, whose error is second order in the vectors' (eig's own
+    mu is off by up to 1e-14).  A singular cluster Gram matrix vl^H vr
+    raises OrthogonalityViolationError.  No eigenvalue of B is lost by
+    merging levels that are not degenerate, so the rule may merge too
+    many, never too few.
 
     The rule follows from the coupling bound.  `eigh` is backward
     stable, so V diagonalizes H up to a perturbation of order eps ||H||
@@ -1099,14 +1060,21 @@ def _solve_in_hamiltonian_basis(
             f"{coupling:.3e} against its norm {size:.3e} {where}"
         )
     mu = np.diagonal(rotated).copy()
-    right, left = vectors.copy(), vectors.copy()
+    right, left = vectors.copy(), vectors.conj().T
     starts = np.flatnonzero(np.concatenate(([True], apart)))
     for start, stop in zip(starts, np.append(starts[1:], len(levels))):
         if stop - start > 1:
             part = slice(start, stop)
-            mu[part], vl, vr = scipy.linalg.eig(rotated[part, part], left=True, right=True)
+            _, vl, vr = scipy.linalg.eig(rotated[part, part], left=True, right=True)
+            try:
+                rows = np.linalg.solve(vl.conj().T @ vr, vl.conj().T)
+            except np.linalg.LinAlgError as exc:
+                raise OrthogonalityViolationError(
+                    f"singular biorthogonal cluster of size {stop - start} {where}"
+                ) from exc
+            mu[part] = np.sum(rows * (rotated[part, part] @ vr).T, axis=1)
             right[:, part] = vectors[:, part] @ vr
-            left[:, part] = vectors[:, part] @ vl
+            left[part] = rows @ vectors[:, part].conj().T
     return mu, right, left, float(levels[0]), vectors[:, 0]
 
 
@@ -1122,10 +1090,10 @@ def sector_spectrum(block: SectorMatrix) -> SectorSpectrum:
     `_momentum_basis`, where S_Q is exp(2 pi i m / L), the operator is
     therefore exp(2 pi i m / L) B_m^2 with B_m = U_m^H T_Q U_m.  The
     chain block H_Q of `build_hamiltonian` commutes with S_Q too, and
-    with T_Q; each B_m is diagonalized in the eigenbasis of H_m =
-    U_m^H H_Q U_m (`_solve_in_hamiltonian_basis`), and biorthonormalized
-    block by block.  The chain ground state is the lowest level of the
-    H_m over all blocks.
+    with T_Q; each B_m is diagonalized, with biorthonormal left and
+    right vectors, in the eigenbasis of H_m = U_m^H H_Q U_m
+    (`_solve_in_hamiltonian_basis`).  The chain ground state is the
+    lowest level of the H_m over all blocks.
 
     Raises:
         IdentityViolationError: T_Q breaks translation invariance.
@@ -1140,7 +1108,7 @@ def sector_spectrum(block: SectorMatrix) -> SectorSpectrum:
     adjoint = basis.conj().T.tocsr()
     chain = build_hamiltonian(block.N, block.L, block.Q, block.kp).op
     norm = float(abs(chain).sum(axis=1).max())
-    starts, solved, grounds = [], [], []
+    starts, right, left, values, residuals, grounds = [], [], [], [], [], []
     for m, (start, stop) in enumerate(zip(offsets[:-1], offsets[1:])):
         if start == stop:
             continue
@@ -1149,36 +1117,28 @@ def sector_spectrum(block: SectorMatrix) -> SectorSpectrum:
         ham = (rows @ chain @ columns).toarray()
         mu, vr, vl, level, vector = _solve_in_hamiltonian_basis(projected, ham, norm, where)
         grounds.append((level, columns @ vector))
-        phase = np.exp(2j * np.pi * m / block.L)
-        order = _by_modulus(phase * mu**2)
         starts.append(start)
-        solved.append((phase * mu[order] ** 2, phase, projected, vl[:, order], vr[:, order]))
-    values = np.concatenate([entry[0] for entry in solved])
-    values = values[_by_modulus(values)]
+        right.append(vr)
+        left.append(vl)
+        values.append(np.exp(2j * np.pi * m / block.L) * mu**2)
+        residuals.append(np.max(np.abs(vl @ vr - np.eye(stop - start))))
+    values = np.concatenate(values)
+    order = _by_modulus(values)
+    values = values[order]
     if len(values) > 1:
         top, second = abs(values[0]), abs(values[1])
         if top - second <= DEGENERACY_RTOL * top:
             raise DegenerateMaxEigenvalueError(
                 f"top eigenvalue moduli {top:.12e} and {second:.12e} coincide {where}"
             )
-    scale = float(abs(values[0])) or 1.0
-    right, left, refined, biorth = [], [], [], 0.0
-    for levels, phase, projected, vl, vr in solved:
-        block_left, residual = _biorthonormalize(levels, vr, vl.conj().T, scale)
-        right.append(vr)
-        left.append(block_left)
-        biorth = max(biorth, residual)
-        # each mu again as its biorthogonal Rayleigh quotient, whose error
-        # is second order in the vectors' (the solved mu is off by up to 1e-14)
-        refined.append(phase * np.sum(block_left * (projected @ vr).T, axis=1) ** 2)
+    # np.max keeps a NaN, so that the check fails
+    biorth = float(np.max(residuals))
     if not biorth <= 1e-8:
         raise OrthogonalityViolationError(
             f"biorthonormality residual {biorth:.3e} in sector Q={block.Q}"
         )
-    values = np.concatenate(refined)
-    order = _by_modulus(values)
     spectrum = SectorSpectrum(
-        N=block.N, L=block.L, Q=block.Q, kp=block.kp, eigenvalues=values[order],
+        N=block.N, L=block.L, Q=block.Q, kp=block.kp, eigenvalues=values,
         basis=basis, starts=np.array(starts), right=tuple(right), left=tuple(left),
         order=order, biorth_residual=biorth,
     )

@@ -491,7 +491,7 @@ def test_oracle_size_guard_refuses_before_building(runner, monkeypatch):
         raise AssertionError("the edge basis was enumerated past the size guard")
 
     monkeypatch.setattr(lattice, "edge_configs", no_build)
-    monkeypatch.setattr(lattice, "_edge_classes", no_build)
+    monkeypatch.setattr(lattice, "_spin_grid", no_build)
     result = runner.invoke(cli.main, ["oracle", "--N", "2", "--L", "40", "--kp", "0.5"])
     assert result.exit_code == 3, result.output
     assert "over the cap" in result.stderr

@@ -25,12 +25,10 @@ from chiralpotts.errors import (
 from chiralpotts.formfactor import couplings, overlap_product_closed
 from chiralpotts.lattice import (
     RapidityPoint,
-    _edge_classes,
     boltzmann_weights,
     build_hamiltonian,
     build_sector_transfer,
     certified_ground_states,
-    certify_ground_state,
     certify_ground_states,
     correlation_table,
     diagnostics,
@@ -249,6 +247,22 @@ def test_hand_assembled_sector_blocks_two_state_width_two():
         assert np.allclose(got_t_hat.mat, t_hat_block, atol=1e-13)
 
 
+def spin_row_classes(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per spin row of `digit_rows(N, L)`, the flat index of its edge
+    configuration (adjacent spin differences) and its leading spin."""
+    spins = digit_rows(N, L)
+    edges = (spins - np.roll(spins, -1, axis=1)) % N
+    return edge_index(N, edges), spins[:, 0]
+
+
+@pytest.mark.parametrize("N, L", [(2, 5), (3, 4), (4, 3)])
+def test_spin_grid_orders_rows_by_leading_spin_and_edge_class(N, L):
+    flat, lead = spin_row_classes(N, L)
+    grid = lattice._spin_grid(N, L)
+    assert not grid.flags.writeable
+    assert np.array_equal(lead[grid] * N ** (L - 1) + flat[grid], np.arange(N**L))
+
+
 def spin_block_roundtrip_residual(N: int, L: int, q: RapidityPoint) -> float:
     """Reassemble the spin-basis transfer matrix from all charge blocks.
 
@@ -257,7 +271,7 @@ def spin_block_roundtrip_residual(N: int, L: int, q: RapidityPoint) -> float:
     largest entry of T.
     """
     t_spin, _ = spin_transfer(q, L)
-    flat, lead = _edge_classes(N, L)
+    flat, lead = spin_row_classes(N, L)
     omega = np.exp(2j * np.pi / N)
     blocks = [build_sector_transfer(q, L, Q)[0].mat for Q in range(N)]
     rebuilt = np.zeros_like(t_spin)
@@ -666,11 +680,28 @@ def test_translation_check_runs_in_row_blocks():
             lattice._check_translation_invariance(dataclasses.replace(block, op=op))
 
 
-def test_singular_singleton_raises_typed_error():
-    left = np.eye(3, dtype=complex)
-    left[1] = [1.0, 0.0, 0.0]
-    with pytest.raises(OrthogonalityViolationError, match="size 1"):
-        lattice._biorthonormalize(np.array([3.0, 2.0, 1.0]), np.eye(3), left, 3.0)
+def test_singular_cluster_raises_typed_error(monkeypatch):
+    # eig runs only on clusters of chain levels: an exactly degenerate
+    # pair at (2,4), clusters of up to 10 levels at (3,6); a zero left
+    # vector makes the cluster's Gram matrix exactly singular
+    eig = scipy.linalg.eig
+
+    def rank_deficient(a, **kwargs):
+        values, left, right = eig(a, **kwargs)
+        left[:, -1] = 0.0
+        return values, left, right
+
+    monkeypatch.setattr(scipy.linalg, "eig", rank_deficient)
+    for N, L in ((2, 4), (3, 6)):
+        with pytest.raises(
+            OrthogonalityViolationError,
+            match=rf"singular biorthogonal cluster of size \d+ in sector Q=\d \(N={N}, L={L}\)",
+        ):
+            product_spectra(N, L, 0.5)
+
+
+def test_singular_cluster_check_survives_optimize_flag(run_optimized):
+    run_optimized("test_lattice.py::test_singular_cluster_raises_typed_error")
 
 
 @pytest.mark.parametrize("N, L, kp", [(2, 9, 0.5), (3, 6, 0.3), (4, 5, 0.7)])
@@ -776,7 +807,7 @@ def test_unphysical_branch_detected_by_the_sparse_route():
     q = horizontal_point(2, kp, 0.5 / (1.0 + kp))
     for Q in range(2):
         with pytest.raises(EigenbasisMismatchError, match=r"1 - \|cos\|"):
-            certify_ground_state(ground_state(2, 6, Q, kp), q)
+            certify_ground_states([ground_state(2, 6, Q, kp)], q)
 
 
 def test_sparse_dominance_check_survives_optimize_flag(run_optimized):
