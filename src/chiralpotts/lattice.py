@@ -23,10 +23,12 @@ way: one cached permutation puts the spin rows in (leading spin, edge
 class) order (`_spin_grid`), and one N x N Fourier matrix over the
 leading spin (`_fourier`) separates or recombines the sectors.
 
-The correlation route needs the whole spectrum.  The dense layers of
-the row transfer matrix T come from the same site-local ring
-contraction as the certificate, applied to one unit vector per edge
-class, and are Fourier-transformed over the leading spin into charge
+The correlation route needs the whole spectrum.  An element of the row
+transfer matrix T is a product of one site factor per site, so the
+column of T at one ket row is, over all bra rows, the outer product of
+one N-vector per site.  The columns of the ket rows with leading spin 0,
+one per edge class, are built that way in batches and
+Fourier-transformed over the bra's leading spin into the dense charge
 blocks T_Q.  The second factor is That_Q = S_Q T_Q, S_Q the row
 translation, so on row momentum m of an exact momentum basis the
 product is exp(2 pi i m / L) times the square of the projected T_Q (L
@@ -427,17 +429,21 @@ def _transfer_blocks(q: RapidityPoint, L: int) -> np.ndarray:
     Block Q is the sum over m with phase omega^(-mQ) of the layers T(m),
     whose entry [i, j] is the spin-basis element of T from a ket row of
     edge class j and leading spin m to a bra row of edge class i and
-    leading spin 0.  The ring of `_ring_apply` maps the unit vector of
-    the sigma_1 = 0 row of class j to column j of T; by shift invariance
-    its row of class i and leading spin m' = -m is entry [m, i, j], so
-    block Q sums the rows of leading spin m' with phase omega^(Q m'): one
-    gather by `_spin_grid` and one product with `_fourier` per batch.
-    Columns go N^(L-4) at a time, and at least N, so the ring's work
-    tensor (N^(L+1) numbers per column) stays within one layer from L = 4
-    on.  The read-only blocks of the latest rapidity and width are kept
-    and shared by its sectors.  For spin dimensions up to
-    SPIN_CHECK_DIM_CAP the identity (T That)_Q = T_Q S_Q T_Q
-    (`build_sector_transfer`) is verified in every sector against one
+    leading spin 0.  By shift invariance that is the element from the
+    sigma_1 = 0 ket row of class j to the bra row of class i and leading
+    spin m' = -m, so block Q sums the bra rows of leading spin m' with
+    phase omega^(Q m').  The column of T at ket row s is, over all N^L bra
+    rows, the outer product over the sites of the N-vectors
+    kernel[:, s_j, s_(j+1)] (`_site_kernel`): L - 1 broadcast products
+    from site 1, the least significant digit of `digit_rows`.  Per batch
+    of sigma_1 = 0 ket columns, in `_spin_grid` order, the product is
+    gathered once by `_spin_grid` and Fourier-transformed by one product
+    with `_fourier`.  A batch holds N^(L-1) / N^2 columns, and at least
+    one, so its N^L-row work arrays take 1/N of a layer each and at most
+    two of them are live at once.  The read-only blocks of the latest
+    rapidity and width are kept and shared by its sectors.  For spin
+    dimensions up to SPIN_CHECK_DIM_CAP the identity (T That)_Q = T_Q S_Q
+    T_Q (`build_sector_transfer`) is verified in every sector against one
     spin-basis product (CurveMismatchError otherwise); larger builds rely
     on the same check at small sizes.
     """
@@ -446,15 +452,18 @@ def _transfer_blocks(q: RapidityPoint, L: int) -> np.ndarray:
     kernel = _site_kernel(q)
     grid = _spin_grid(N, L)
     fourier = _fourier(N)
+    spins = digit_rows(N, L)[grid[:dim]]  # the ket rows, one per edge class
     blocks = np.empty((N, dim, dim), dtype=complex)
-    batch = N ** max(L - 4, 1)
+    batch = max(1, dim // N**2)
     for start in range(0, dim, batch):
         cols = slice(start, start + batch)
-        kets = grid[:dim][cols]
-        units = np.zeros((N**L, len(kets)), dtype=complex)
-        units[kets, np.arange(len(kets))] = 1.0
-        image = _ring_apply(kernel, units, N, L)[grid].reshape(N, dim, -1)
-        blocks[:, :, cols] = np.tensordot(fourier, image, axes=1)
+        s = spins[cols]
+        column = kernel[:, s[:, 0], s[:, 1 % L]]
+        for j in range(1, L):
+            site = kernel[:, s[:, j], s[:, (j + 1) % L]]
+            column = (site[:, None] * column).reshape(-1, len(s))
+        column = column[grid].reshape(N, dim, -1)
+        blocks[:, :, cols] = np.tensordot(fourier, column, axes=1)
     if N**L <= SPIN_CHECK_DIM_CAP:
         t_spin, t_hat_spin = spin_transfer(q, L)
         # bra rows of leading spin 0 against ket rows by (leading spin, class)

@@ -326,7 +326,7 @@ def test_sector_index_validation():
 
 
 # ---------------------------------------------------------------------------
-# shift-resolved layers from the ring contraction
+# the dense transfer blocks
 
 
 def _prefix_sums(configs: np.ndarray, N: int) -> np.ndarray:
@@ -389,6 +389,34 @@ def test_batched_ring_equals_column_applies(N, L):
         for b in range(3):
             column = lattice._ring_apply(kernel, u[:, a, b].copy(), N, L)
             assert np.max(np.abs(got[:, a, b] - column)) <= 1e-14 * np.max(np.abs(column))
+
+
+def test_dense_blocks_do_not_go_through_the_ring(monkeypatch):
+    def ring(*args):
+        raise AssertionError("the dense build applied the ring")
+
+    monkeypatch.setattr(lattice, "_ring_apply", ring)
+    lattice._transfer_blocks.cache_clear()
+    for N, L in [(3, 4), (4, 5)]:
+        product_spectra(N, L, 0.5)
+
+
+def test_block_build_holds_at_most_one_layer_besides_the_blocks():
+    # a batch of N^(L-1) / N^2 columns over N^L bra rows is 1/N of a layer,
+    # and at most two such arrays are live at once (the site product and
+    # its gather, then the gather and its Fourier transform): 2/3 of a
+    # layer at N = 3, 0.67 measured
+    q = physical_point(3, 0.5)
+    lattice._transfer_blocks(q, 7)
+    lattice._transfer_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        blocks = lattice._transfer_blocks(q, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    layer = blocks[0].nbytes
+    assert peak <= blocks.nbytes + layer, (peak - blocks.nbytes) / layer
 
 
 def test_product_spectra_build_the_layers_once():
